@@ -16,6 +16,7 @@ from treelie import operads, tree_core
 from treelie.freemod import (
     Element,
     TensorElement,
+    accumulate,
     expand_slot,
     filtration_degree,
     is_invariant_1k,
@@ -123,13 +124,14 @@ def check_trick_formula(alphabet, total):
         children = t.children
         head = tree_core.node(t.label, children[:-1])
         tail = children[-1]
-        rhs = prelie_product(_of(head), _of(tail))
+        rhs = dict(prelie_product(_of(head), _of(tail)).terms)
         for i in range(len(children) - 1):
             corr = prelie_product(_of(children[i]), _of(tail))
-            for s, c in corr.items():
-                rhs = rhs - c * _of(tree_core.node(t.label, children[:i] + (s,) + children[i + 1 : -1]))
+            rest = children[i + 1 : -1]
+            peeled = ((tree_core.node(t.label, children[:i] + (s,) + rest), c) for s, c in corr.items())
+            accumulate(rhs, peeled, -1)
         count += 1
-        if rhs != _of(t):
+        if Element(rhs) != _of(t):
             failures.append("at %s" % t)
             break
     return _result("root-subtree peeling formula, degree <= %d" % total, failures, count)
@@ -167,10 +169,7 @@ def check_module_axiom(seed, samples=25):
     failures, count = [], 0
     for _ in range(samples):
         rank = rng.randint(1, 3)
-        m = TensorElement(rank)
-        for _ in range(rng.randint(1, 3)):
-            keys = tuple(rng.choice(basis) for _ in range(rank))
-            m = m + TensorElement.of(keys, rng.randint(-3, 3))
+        m = TensorElement(rank, _random_terms(rng, basis, rank, -3))
         l1, l2 = _of(rng.choice(basis)), _of(rng.choice(basis))
         lhs = module_action(module_action(m, l1), l2) - module_action(module_action(m, l2), l1)
         rhs = module_action(m, bracket(l1, l2))
@@ -179,6 +178,15 @@ def check_module_axiom(seed, samples=25):
             failures.append("m=%s l1=%s l2=%s" % (m, l1, l2))
             break
     return _result("tensor powers form a right module (seed %d)" % seed, failures, count)
+
+
+def _random_terms(rng, basis, rank, low):
+    """One to three random (key tuple, coefficient in low..3) terms, summed."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        keys = tuple(rng.choice(basis) for _ in range(rank))
+        terms.append((keys, rng.randint(low, 3)))
+    return accumulate({}, terms)
 
 
 def suite_prelie(max_degree, seed):
@@ -251,13 +259,12 @@ def check_deltak_bracketings(alphabet, max_degree, k_max):
         for k in range(1, k_max + 1):
             left = delta_k(_of(t), k + 1)
             d1 = coproduct(_of(t))
-            via_right = TensorElement(k + 2)
+            via_right = {}
             for (u, v), c in d1.items():
                 dku = delta_k(_of(u), k)
-                for keys, cu in dku.items():
-                    via_right = via_right + TensorElement.of(keys + (v,), c * cu)
+                accumulate(via_right, ((keys + (v,), cu) for keys, cu in dku.items()), c)
             count += 1
-            if left != via_right:
+            if left != TensorElement(k + 2, via_right):
                 failures.append("Delta^%d at %s" % (k + 1, t))
                 break
     return _result("the two coproduct recursions agree (degree <= %d, k <= %d)" % (max_degree, k_max), failures, count)
@@ -278,15 +285,12 @@ def _apply_cooperation(pattern, x):
     if pattern is None:
         return TensorElement(1, {(k,): c for k, c in x.items()})
     p1, p2 = pattern
-    rank = _pattern_rank(pattern)
-    out = TensorElement(rank)
+    acc = {}
     for (u, v), c in coproduct(x).items():
         t1 = _apply_cooperation(p1, _of(u))
         t2 = _apply_cooperation(p2, _of(v))
-        for k1, c1 in t1.items():
-            for k2, c2 in t2.items():
-                out = out + TensorElement.of(k1 + k2, c * c1 * c2)
-    return out
+        accumulate(acc, ((k1 + k2, c1 * c2) for k1, c1 in t1.items() for k2, c2 in t2.items()), c)
+    return TensorElement(_pattern_rank(pattern), acc)
 
 
 def _pattern_rank(pattern):
@@ -391,10 +395,7 @@ def check_iterated_distributive_law(alphabet, total, k_max):
     for x, y in _tuples_with_total(alphabet, 2, total):
         for k in range(1, k_max + 1):
             lhs = delta_k(prelie_product(_of(x), _of(y)), k)
-            rhs = module_action(delta_k(_of(x), k), _of(y))
-            dk1 = delta_k(_of(x), k - 1)
-            if not dk1.is_zero():
-                rhs = rhs + insert_y(_of(y), dk1)
+            rhs = module_action(delta_k(_of(x), k), _of(y)) + insert_y(_of(y), delta_k(_of(x), k - 1))
             count += 1
             if lhs != rhs:
                 failures.append("k=%d at (%s, %s)" % (k, x, y))
@@ -502,9 +503,7 @@ def check_delta_ak(max_degree, k_max):
                 failures.append("domain membership fails for Delta^%d(%s)" % (k, t))
                 break
             lhs = alg.coproduct(ak_apply(k + 1, x, alg))
-            rhs = k * uk_apply(x, alg)
-            if not expanded.is_zero():
-                rhs = rhs + uk_apply(expanded, alg)
+            rhs = k * uk_apply(x, alg) + uk_apply(expanded, alg)
             count += 1
             if lhs != rhs:
                 failures.append("k=%d at %s" % (k, t))
@@ -533,10 +532,8 @@ def check_derivation_ak(max_degree, k_max):
 def _symmetrize_tail(keys):
     """Sum over all permutations of every slot but the first."""
     head, tail = keys[0], list(keys[1:])
-    out = TensorElement(len(keys))
-    for perm in itertools.permutations(tail):
-        out = out + TensorElement.of((head,) + perm)
-    return out
+    perms = (((head,) + perm, 1) for perm in itertools.permutations(tail))
+    return TensorElement(len(keys), accumulate({}, perms))
 
 
 def check_petit_dernier(max_total, k_max):
@@ -552,17 +549,17 @@ def check_petit_dernier(max_total, k_max):
                 continue  # one representative per symmetrized class
             x = _symmetrize_tail(keys)
             ey = _of(y)
-            lhs = Element()
+            lhs = {}
             for tup, c in x.items():
                 for l in range(1, k + 2):
                     left = ak_apply(l, TensorElement.of(tup[:l]), alg)
                     right = ak_apply(
                         k + 2 - l, TensorElement.of((y,) + tup[l:]), alg
                     )
-                    lhs = lhs + (c * math.comb(k, l - 1)) * prelie_product(left, right)
+                    accumulate(lhs, prelie_product(left, right).items(), c * math.comb(k, l - 1))
             rhs = ak_apply(k + 1, module_action(x, ey), alg)
             count += 1
-            if lhs != rhs:
+            if Element(lhs) != rhs:
                 failures.append("k=%d keys=%s y=%s" % (k, [str(t) for t in keys], y))
                 break
     return _result("split product expansion on symmetrized tensors (total degree <= %d, k <= %d)" % (max_total, k_max), failures, count)
@@ -575,10 +572,7 @@ def check_mu_uk(seed, samples=20):
     basis = _basis_upto(TWO_LETTERS, 2)
     failures, count = [], 0
     for _ in range(samples):
-        x = TensorElement(3)
-        for _ in range(rng.randint(1, 3)):
-            keys = tuple(rng.choice(basis) for _ in range(3))
-            x = x + TensorElement.of(keys, rng.randint(-2, 3))
+        x = TensorElement(3, _random_terms(rng, basis, 3, -2))
         count += 1
         if mu_of_tensor(uk_apply(x, alg), alg) != ak_apply(3, x, alg):
             failures.append("x=%s" % x)

@@ -125,7 +125,13 @@ def cmd_reconstruct(args):
     except ValueError as exc:
         print("format error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    report = rigidity.reconstruct(alg, args.max_degree)
+    if args.max_degree > alg.max_degree:
+        print(
+            "max_degree %d exceeds the presented degree %d" % (args.max_degree, alg.max_degree),
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
+    report =rigidity.reconstruct(alg, args.max_degree)
     print(report.summary())
     if report.validation_failures:
         return EXIT_VALIDATION

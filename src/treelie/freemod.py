@@ -7,6 +7,11 @@ to be hashable, totally ordered, have a ``degree`` attribute and render via
 qualify).  Coefficients are Python ints or ``fractions.Fraction``, never
 floats, since every identity in this package is checked for exact equality.
 
+Every sum in the package goes through ``accumulate``, the one place where
+coefficients are added into a dict and zero sums are dropped; callers hand
+it a whole block of ``(key, coeff)`` items with one scale, so a sum of many
+terms costs one pass and no intermediate copies.
+
 The module also houses the small exact linear algebra needed elsewhere
 (rank, nullspace, span membership over the rationals) and the coalgebra
 filtration computation.
@@ -25,6 +30,13 @@ def _coeff(c):
 
 
 def parse_rational(text):
+    """Exact rational from its text ``p/q`` (or an integer or decimal string).
+
+    Only strings are accepted: a JSON float such as ``0.1`` has already lost
+    its exact value, so it is rejected rather than silently converted.
+    """
+    if not isinstance(text, str):
+        raise ValueError("rational must be a string such as '1/2', got %r" % (text,))
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -33,6 +45,21 @@ def parse_rational(text):
 
 def render_rational(c):
     return str(c)
+
+
+def accumulate(acc, items, scale=1):
+    """Add ``scale * c`` into ``acc[key]`` for every ``(key, c)`` in ``items``,
+    dropping keys whose sum becomes zero; returns ``acc``."""
+    if scale != 1:
+        items = ((k, scale * c) for k, c in items)
+    get = acc.get
+    for k, c in items:
+        v = get(k, 0) + c
+        if v:
+            acc[k] = v
+        else:
+            acc.pop(k, None)
+    return acc
 
 
 class Element:
@@ -83,14 +110,7 @@ class Element:
         return Element({k: c for k, c in self.terms.items() if k.degree == degree})
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return Element(out)
+        return Element(accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -156,14 +176,7 @@ class TensorElement:
     def __add__(self, other):
         if self.rank != other.rank:
             raise ValueError("rank mismatch: %d vs %d" % (self.rank, other.rank))
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return TensorElement(self.rank, out)
+        return TensorElement(self.rank, accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -221,7 +234,7 @@ def parse_element(text, parse_key):
     if text == "0":
         return Element()
     tokens = text.split(" ")
-    out = {}
+    terms = []
     pos = 0
     sign = 1
     while pos < len(tokens):
@@ -231,11 +244,10 @@ def parse_element(text, parse_key):
         c = sign * parse_rational(tokens[pos])
         if pos + 2 >= len(tokens) or tokens[pos + 1] != "*":
             raise ValueError("expected 'coeff * key' at %r" % " ".join(tokens[pos:]))
-        key = parse_key(tokens[pos + 2])
-        out[key] = out.get(key, 0) + c
+        terms.append((parse_key(tokens[pos + 2]), c))
         pos += 3
         sign = 1
-    return Element(out)
+    return Element(accumulate({}, terms))
 
 
 def parse_tensor_element(text, parse_key, rank=None):
@@ -246,7 +258,7 @@ def parse_tensor_element(text, parse_key, rank=None):
             raise ValueError("cannot infer the rank of a zero tensor")
         return TensorElement(rank)
     tokens = text.split(" ")
-    out = {}
+    terms = []
     pos = 0
     sign = 1
     seen_rank = rank
@@ -268,9 +280,9 @@ def parse_tensor_element(text, parse_key, rank=None):
             seen_rank = len(keys)
         elif len(keys) != seen_rank:
             raise ValueError("mixed tensor ranks %d and %d" % (seen_rank, len(keys)))
-        out[keys] = out.get(keys, 0) + c
+        terms.append((keys, c))
         sign = 1
-    return TensorElement(seen_rank, out)
+    return TensorElement(seen_rank, accumulate({}, terms))
 
 
 def add(x, y):
@@ -286,43 +298,12 @@ def tensor(*factors):
     """Tensor product of Elements, one slot per factor."""
     if not factors:
         raise ValueError("tensor needs at least one factor")
+    # distinct key tuples never collide, and products of nonzero rationals
+    # are nonzero, so no accumulation is needed
     terms = {(): 1}
     for f in factors:
-        nxt = {}
-        for keys, c in terms.items():
-            for k, d in f.items():
-                prod = c * d
-                if prod:
-                    nxt[keys + (k,)] = nxt.get(keys + (k,), 0) + prod
-        terms = nxt
-    return TensorElement(len(factors), {k: c for k, c in terms.items() if c})
-
-
-def apply_linear(f, x):
-    """Extend a basis-indexed map by linearity.
-
-    ``f`` sends a basis key to an Element or TensorElement; all values must
-    share one kind/rank.  Returns the zero Element for zero input.
-    """
-    out = None
-    for k, c in x.items():
-        v = c * f(k)
-        out = v if out is None else out + v
-    return Element() if out is None else out
-
-
-def map_slot(t, slot, f):
-    """Apply a key -> Element map to one tensor slot, keeping the rank."""
-    acc = {}
-    for keys, c in t.items():
-        for k2, c2 in f(keys[slot]).items():
-            key2 = keys[:slot] + (k2,) + keys[slot + 1 :]
-            s = acc.get(key2, 0) + c * c2
-            if s:
-                acc[key2] = s
-            else:
-                acc.pop(key2, None)
-    return TensorElement(t.rank, acc)
+        terms = {keys + (k,): c * d for keys, c in terms.items() for k, d in f.items()}
+    return TensorElement(len(factors), terms)
 
 
 def expand_slot(t, slot, f, out_rank):
@@ -333,13 +314,8 @@ def expand_slot(t, slot, f, out_rank):
     """
     acc = {}
     for keys, c in t.items():
-        for mid, c2 in f(keys[slot]).items():
-            key2 = keys[:slot] + mid + keys[slot + 1 :]
-            s = acc.get(key2, 0) + c * c2
-            if s:
-                acc[key2] = s
-            else:
-                acc.pop(key2, None)
+        head, tail = keys[:slot], keys[slot + 1 :]
+        accumulate(acc, ((head + mid + tail, c2) for mid, c2 in f(keys[slot]).items()), c)
     return TensorElement(out_rank, acc)
 
 

@@ -7,7 +7,7 @@ insertion operator delta_y plugs an element after each tensor position.
 """
 
 from treelie import kernel
-from treelie.freemod import TensorElement, expand_slot
+from treelie.freemod import TensorElement, accumulate, expand_slot
 
 
 def coproduct_basis(t):
@@ -19,12 +19,7 @@ def coproduct(x):
     """Linear extension of the root-subtree-removal coproduct."""
     acc = {}
     for t, c in x.items():
-        for pair, mult in kernel.coproduct_counts(t).items():
-            v = acc.get(pair, 0) + c * mult
-            if v:
-                acc[pair] = v
-            else:
-                acc.pop(pair, None)
+        accumulate(acc, kernel.coproduct_counts(t).items(), c)
     return TensorElement(2, acc)
 
 
@@ -53,14 +48,10 @@ def insert_y(y, t):
         raise ValueError("insertion needs rank >= 1")
     acc = {}
     for keys, c in t.items():
-        for i in range(1, t.rank + 1):
-            for ky, cy in y.items():
-                key2 = keys[:i] + (ky,) + keys[i:]
-                v = acc.get(key2, 0) + c * cy
-                if v:
-                    acc[key2] = v
-                else:
-                    acc.pop(key2, None)
+        inserted = (
+            (keys[:i] + (ky,) + keys[i:], cy) for i in range(1, t.rank + 1) for ky, cy in y.items()
+        )
+        accumulate(acc, inserted, c)
     return TensorElement(t.rank + 1, acc)
 
 

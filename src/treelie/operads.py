@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from treelie import tree_core
-from treelie.freemod import Element
+from treelie.freemod import Element, accumulate
 from treelie.prelie import nap_product, prelie_product
 from treelie.tree_core import LabeledTree, act
 
@@ -74,14 +74,14 @@ def pl_compose(t, i, s):
     host, sub = _relabel_maps(n, i, m)
     children = t.children_of(i)
     base = nap_compose(t, i, s)
-    acc = {}
+    # distinct target maps give distinct parent arrays, so no term repeats
+    out = {}
     for targets in itertools.product(range(1, m + 1), repeat=len(children)):
         parent = list(base.parent)
         for c, target in zip(children, targets):
             parent[host(c) - 1] = sub(target)
-        u = LabeledTree(tuple(parent))
-        acc[u] = acc.get(u, 0) + 1
-    return Element(acc)
+        out[LabeledTree(tuple(parent))] = 1
+    return Element(out)
 
 
 def as_element(x):
@@ -90,11 +90,11 @@ def as_element(x):
 
 def compose_elements(compose, x, i, y):
     """Bilinear extension of a composition to formal combinations."""
-    out = Element()
+    acc = {}
     for t, ct in as_element(x).items():
         for s, cs in as_element(y).items():
-            out = out + (ct * cs) * as_element(compose(t, i, s))
-    return out
+            accumulate(acc, as_element(compose(t, i, s)).items(), ct * cs)
+    return Element(acc)
 
 
 def act_element(sigma, x):
@@ -329,10 +329,7 @@ def word_product(word, letters, product):
 
 def evaluate_element(x, letters):
     """Evaluate a combination of n-labeled trees on n generator letters."""
-    out = Element()
-    for t, c in as_element(x).items():
-        out = out + c * Element.of(t.to_rooted(letters))
-    return out
+    return Element(accumulate({}, ((t.to_rooted(letters), c) for t, c in as_element(x).items())))
 
 
 def evaluation_consistency_check(max_arity=4):

@@ -7,7 +7,7 @@ slot-wise derivation.
 """
 
 from treelie import kernel
-from treelie.freemod import Element, TensorElement
+from treelie.freemod import Element, TensorElement, accumulate
 
 
 def prelie_product(x, y):
@@ -15,28 +15,14 @@ def prelie_product(x, y):
     acc = {}
     for s, cs in x.items():
         for t, ct in y.items():
-            c = cs * ct
-            for g, mult in kernel.prelie_counts(s, t).items():
-                v = acc.get(g, 0) + c * mult
-                if v:
-                    acc[g] = v
-                else:
-                    acc.pop(g, None)
+            accumulate(acc, kernel.prelie_counts(s, t).items(), cs * ct)
     return Element(acc)
 
 
 def nap_product(x, y):
     """NAP product: graft each y-term onto the root of each x-term."""
-    acc = {}
-    for s, cs in x.items():
-        for t, ct in y.items():
-            g = kernel.root_graft(s, t)
-            v = acc.get(g, 0) + cs * ct
-            if v:
-                acc[g] = v
-            else:
-                acc.pop(g, None)
-    return Element(acc)
+    grafts = ((kernel.root_graft(s, t), cs * ct) for s, cs in x.items() for t, ct in y.items())
+    return Element(accumulate({}, grafts))
 
 
 def bracket(x, y):
@@ -54,12 +40,7 @@ def module_action(m, y, product=prelie_product):
     acc = {}
     for keys, c in m.items():
         for i in range(m.rank):
+            head, tail = keys[:i], keys[i + 1 :]
             hit = product(Element.of(keys[i]), y)
-            for k2, c2 in hit.items():
-                key2 = keys[:i] + (k2,) + keys[i + 1 :]
-                v = acc.get(key2, 0) + c * c2
-                if v:
-                    acc[key2] = v
-                else:
-                    acc.pop(key2, None)
+            accumulate(acc, ((head + (k2,) + tail, c2) for k2, c2 in hit.items()), c)
     return TensorElement(m.rank, acc)

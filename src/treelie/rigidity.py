@@ -1,6 +1,12 @@
 """Rigidity structure: the splitting operators A_k, the primitive projector,
 and reconstruction of a presented algebra as a free one.
 
+``Algebra`` is the one interface every algebra here implements: a subclass
+supplies ``basis(degree)``, ``product_basis(a, b)`` and ``coproduct_basis(a)``
+on basis keys, and the base extends them bilinearly (``product``) and
+linearly (``coproduct``) and keeps named per-algebra caches.  The two
+subclasses are the free tree algebra and a presented algebra.
+
 A "presented algebra" is a graded vector space with finitely many basis
 names per degree plus structure constants for a binary product and a binary
 coproduct.  After validating the pre-Lie relation, the permutative coalgebra
@@ -20,6 +26,7 @@ from treelie import kernel, tree_core
 from treelie.freemod import (
     Element,
     TensorElement,
+    accumulate,
     echelon,
     element_vector,
     expand_slot,
@@ -44,12 +51,32 @@ class ValidationError(ValueError):
         self.failures = list(failures)
 
 
-class _CacheMixin:
+class Algebra:
+    """Bilinear structure over basis maps, written once for every algebra.
+
+    Subclasses define ``basis(degree)``, ``product_basis(a, b)`` (an
+    Element) and ``coproduct_basis(a)`` (a rank-2 TensorElement) on basis
+    keys, and set ``self._caches = {}`` in their ``__init__``.
+    """
+
     def cache(self, name):
         return self._caches.setdefault(name, {})
 
+    def product(self, x, y):
+        acc = {}
+        for a, ca in x.items():
+            for b, cb in y.items():
+                accumulate(acc, self.product_basis(a, b).items(), ca * cb)
+        return Element(acc)
 
-class FreeTreeAlgebra(_CacheMixin):
+    def coproduct(self, x):
+        acc = {}
+        for a, c in x.items():
+            accumulate(acc, self.coproduct_basis(a).items(), c)
+        return TensorElement(2, acc)
+
+
+class FreeTreeAlgebra(Algebra):
     """The free pre-Lie algebra / permutative coalgebra on labeled rooted trees.
 
     Serves as the product/coproduct oracle for the operators below; basis
@@ -76,15 +103,6 @@ class FreeTreeAlgebra(_CacheMixin):
     def coproduct_basis(self, t):
         return _tree_coproduct_basis(t)
 
-    def product(self, x, y):
-        return prelie_product(x, y)
-
-    def coproduct(self, x):
-        out = TensorElement(2)
-        for t, c in x.items():
-            out = out + c * self.coproduct_basis(t)
-        return out
-
 
 @dataclass(frozen=True, order=True)
 class BasisKey:
@@ -97,7 +115,7 @@ class BasisKey:
         return self.name
 
 
-class PresentedAlgebra(_CacheMixin):
+class PresentedAlgebra(Algebra):
     """Graded algebra/coalgebra given by basis names and structure constants.
 
     ``generators`` maps degree -> list of names; ``product`` maps a name pair
@@ -161,19 +179,6 @@ class PresentedAlgebra(_CacheMixin):
     def coproduct_basis(self, a):
         return self._coproduct.get(a.name, TensorElement(2))
 
-    def product(self, x, y):
-        out = Element()
-        for a, ca in x.items():
-            for b, cb in y.items():
-                out = out + (ca * cb) * self.product_basis(a, b)
-        return out
-
-    def coproduct(self, x):
-        out = TensorElement(2)
-        for a, c in x.items():
-            out = out + c * self.coproduct_basis(a)
-        return out
-
     # -- serialization ------------------------------------------------------
 
     def to_json(self):
@@ -198,20 +203,24 @@ class PresentedAlgebra(_CacheMixin):
             raise ValueError("presented algebra document must be a JSON object")
         try:
             generators = {int(d): list(names) for d, names in doc.get("generators", {}).items()}
+            named = []  # every name a term mentions, checked even if its sum is zero
             product = {}
             for a, by_right in doc.get("product", {}).items():
                 for b, terms in by_right.items():
-                    product[(a, b)] = {}
-                    for c, name in terms:
-                        product[(a, b)][name] = product[(a, b)].get(name, 0) + parse_rational(c)
+                    pairs = [(name, parse_rational(c)) for c, name in terms]
+                    named.extend(name for name, _ in pairs)
+                    product[(a, b)] = accumulate({}, pairs)
             coproduct = {}
             for a, terms in doc.get("coproduct", {}).items():
-                coproduct[a] = {}
-                for c, u, v in terms:
-                    coproduct[a][(u, v)] = coproduct[a].get((u, v), 0) + parse_rational(c)
+                pairs = [((u, v), parse_rational(c)) for c, u, v in terms]
+                named.extend(name for pair, _ in pairs for name in pair)
+                coproduct[a] = accumulate({}, pairs)
         except (TypeError, ValueError, AttributeError) as exc:
             raise ValueError("malformed presented algebra document: %s" % exc) from exc
-        return cls(generators, product, coproduct)
+        alg = cls(generators, product, coproduct)
+        for name in named:
+            alg.key(name)
+        return alg
 
     def dump(self, path):
         with open(path, "w") as fh:
@@ -295,12 +304,9 @@ def change_of_basis(alg, seed, prefix="f"):
             cop = alg.coproduct(psi(d1, i))
             terms = {}
             for (u, v), c in cop.items():
-                left = to_new(Element.of(u, c))
-                for nu, cu in left.items():
-                    right = to_new(Element.of(v))
-                    for nv, cv in right.items():
-                        pair = (nu, nv)
-                        terms[pair] = terms.get(pair, 0) + cu * cv
+                right = to_new(Element.of(v))
+                for nu, cu in to_new(Element.of(u, c)).items():
+                    accumulate(terms, (((nu, nv), cv) for nv, cv in right.items()), cu)
             if terms:
                 coproduct[names[d1][i]] = terms
             for d2 in degrees:
@@ -402,11 +408,12 @@ def _ak_tuple(keys, alg, cache):
         if k == 1:
             got = Element.of(keys[0])
         else:
-            got = Element()
+            acc = {}
             for l in range(1, k):
                 left = _ak_tuple(keys[:l], alg, cache)
                 right = _ak_tuple(keys[l:], alg, cache)
-                got = got + math.comb(k - 2, l - 1) * alg.product(left, right)
+                accumulate(acc, alg.product(left, right).items(), math.comb(k - 2, l - 1))
+            got = Element(acc)
         cache[keys] = got
     return got
 
@@ -417,10 +424,10 @@ def ak_apply(k, x, alg):
     if x.rank != k:
         raise ValueError("rank mismatch: A_%d applied to rank %d" % (k, x.rank))
     cache = alg.cache("ak")
-    out = Element()
+    acc = {}
     for keys, c in x.items():
-        out = out + c * _ak_tuple(keys, alg, cache)
-    return out
+        accumulate(acc, _ak_tuple(keys, alg, cache).items(), c)
+    return Element(acc)
 
 
 def uk_apply(x, alg):
@@ -430,23 +437,23 @@ def uk_apply(x, alg):
     if k < 2:
         raise ValueError("U_k needs rank >= 2, got %d" % k)
     cache = alg.cache("ak")
-    out = TensorElement(2)
+    acc = {}
     for keys, c in x.items():
         for l in range(1, k):
             left = _ak_tuple(keys[:l], alg, cache)
             right = _ak_tuple(keys[l:], alg, cache)
-            out = out + (c * math.comb(k - 2, l - 1)) * tensor(left, right)
-    return out
+            accumulate(acc, tensor(left, right).items(), c * math.comb(k - 2, l - 1))
+    return TensorElement(2, acc)
 
 
 def mu_of_tensor(w, alg):
     """Apply the product to each pair of a rank-2 tensor."""
     if w.rank != 2:
         raise ValueError("expected rank 2, got %d" % w.rank)
-    out = Element()
+    acc = {}
     for (u, v), c in w.items():
-        out = out + c * alg.product_basis(u, v)
-    return out
+        accumulate(acc, alg.product_basis(u, v).items(), c)
+    return Element(acc)
 
 
 def _delta_iterates(t, alg):
@@ -473,25 +480,26 @@ def idempotent_e(x, alg):
     algebra, so linear extension is cheap.
     """
     cache = alg.cache("e")
-    out = Element()
+    acc = {}
     for t, c in x.items():
         got = cache.get(t)
         if got is None:
-            got = Element.of(t)
+            terms = {t: 1}
             for k, dk in _delta_iterates(t, alg):
-                got = got + Fraction((-1) ** k, math.factorial(k)) * ak_apply(k + 1, dk, alg)
-            cache[t] = got
-        out = out + c * got
-    return out
+                coeff = Fraction((-1) ** k, math.factorial(k))
+                accumulate(terms, ak_apply(k + 1, dk, alg).items(), coeff)
+            got = cache[t] = Element(terms)
+        accumulate(acc, got.items(), c)
+    return Element(acc)
 
 
 def mu_image_witness(x, alg):
     """Rank-2 tensor w with mu(w) = x - e(x), built from the U operators."""
-    out = TensorElement(2)
+    acc = {}
     for t, c in x.items():
         for k, dk in _delta_iterates(t, alg):
-            out = out + (-c * Fraction((-1) ** k, math.factorial(k))) * uk_apply(dk, alg)
-    return out
+            accumulate(acc, uk_apply(dk, alg).items(), -c * Fraction((-1) ** k, math.factorial(k)))
+    return TensorElement(2, acc)
 
 
 def primitives_basis(alg, degree):
@@ -535,10 +543,7 @@ class HeapCoefficients:
 
     def evaluate(self, letters):
         """Element obtained by relabeling each tree's vertex i with letters[i-1]."""
-        out = Element()
-        for u, c in self.coeffs.items():
-            out = out + c * Element.of(u.to_rooted(letters))
-        return out
+        return Element(accumulate({}, ((u.to_rooted(letters), c) for u, c in self.coeffs.items())))
 
 
 def heap_coefficients(k):
@@ -585,10 +590,9 @@ def heap_coefficients_recursive(k):
         right = heap_coefficients_recursive(k - l)
         for t, ct in left.coeffs.items():
             for tp, ctp in right.coeffs.items():
-                for v in range(1, t.n + 1):
-                    u = graft_labeled(t, v, tp)
-                    coeffs[u] = coeffs.get(u, 0) + weight * ct * ctp
-    return HeapCoefficients(k, {u: c for u, c in coeffs.items() if c})
+                grafts = ((graft_labeled(t, v, tp), 1) for v in range(1, t.n + 1))
+                accumulate(coeffs, grafts, weight * ct * ctp)
+    return HeapCoefficients(k, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -658,54 +662,6 @@ class ReconstructionReport:
         return "\n".join(lines)
 
 
-def _weighted_trees(letter_degrees, weight):
-    """All trees over the letter alphabet whose vertex degrees sum to ``weight``."""
-    letters = sorted(letter_degrees)
-    memo = {}
-
-    def upto(w):
-        got = memo.get(w)
-        if got is None:
-            got = []
-            for v in range(1, w + 1):
-                got.extend(exact(v))
-            memo[w] = got
-        return got
-
-    def exact(w):
-        out = set()
-        for a in letters:
-            d = letter_degrees[a]
-            if d > w:
-                continue
-            if d == w:
-                out.add(kernel.leaf(a))
-                continue
-            pool = upto(w - d)
-            for combo in _weighted_multisets(pool, letter_degrees, 0, w - d):
-                out.add(kernel.node(a, combo))
-        return sorted(out)
-
-    return exact(weight)
-
-
-def _weighted_multisets(pool, letter_degrees, start, budget):
-    if budget == 0:
-        yield ()
-        return
-    for i in range(start, len(pool)):
-        t = pool[i]
-        w = _tree_weight(t, letter_degrees)
-        if w > budget:
-            continue
-        for rest in _weighted_multisets(pool, letter_degrees, i, budget - w):
-            yield (t,) + rest
-
-
-def _tree_weight(t, letter_degrees):
-    return letter_degrees[t.label] + sum(_tree_weight(c, letter_degrees) for c in t.children)
-
-
 def phi_by_substitution(tree, leaf_map):
     """Direct evaluation when every primitive is represented by a single
     letter: relabel each vertex through ``leaf_map`` (label -> label)."""
@@ -728,12 +684,13 @@ def _phi(tree, reps, alg, memo):
         children = tree.children
         head = kernel.node(tree.label, children[:-1])
         tail = children[-1]
-        out = alg.product(_phi(head, reps, alg, memo), _phi(tail, reps, alg, memo))
+        acc = dict(alg.product(_phi(head, reps, alg, memo), _phi(tail, reps, alg, memo)).terms)
         for i in range(len(children) - 1):
             correction = prelie_product(Element.of(children[i]), Element.of(tail))
             for s, c in correction.items():
                 smaller = kernel.node(tree.label, children[:i] + (s,) + children[i + 1 : -1])
-                out = out - c * _phi(smaller, reps, alg, memo)
+                accumulate(acc, _phi(smaller, reps, alg, memo).items(), -c)
+        out = Element(acc)
     memo[tree] = out
     return out
 
@@ -779,7 +736,9 @@ def reconstruct(alg, max_degree):
     degrees = []
     witness = None
     for n in range(1, max_degree + 1):
-        trees = _weighted_trees(letter_degrees, n) if letter_degrees else []
+        trees = []
+        if letter_degrees:
+            trees = tree_core.enumerate_trees(list(letter_degrees), n, letter_degrees)
         images = []
         coalgebra_ok = True
         for t in trees:
@@ -788,10 +747,10 @@ def reconstruct(alg, max_degree):
                 raise RuntimeError("substitution cross-check failed at %s" % t)
             images.append(img)
             # coalgebra morphism: (phi (x) phi) Delta = Delta_alg phi
-            lhs = TensorElement(2)
+            lhs = {}
             for (u, v), c in _tree_coproduct_basis(t).items():
-                lhs = lhs + c * tensor(_phi(u, reps, alg, memo), _phi(v, reps, alg, memo))
-            if lhs != alg.coproduct(img):
+                accumulate(lhs, tensor(_phi(u, reps, alg, memo), _phi(v, reps, alg, memo)).items(), c)
+            if TensorElement(2, lhs) != alg.coproduct(img):
                 coalgebra_ok = False
         dim = len(alg.basis(n))
         rank = rank_of_family(images, n)

@@ -124,54 +124,61 @@ def automorphism_count(tree):
     return out
 
 
-def enumerate_trees(alphabet, degree):
-    """All canonical trees with ``degree`` vertices labeled from ``alphabet``.
+def enumerate_trees(alphabet, degree, weights=None):
+    """All canonical trees of total weight ``degree`` labeled from ``alphabet``.
 
-    Deterministic output: sorted by canonical rendering within the fixed
-    degree.  Labels may repeat freely.
+    ``weights`` maps a letter to its positive integer weight (missing
+    letters weigh 1); a tree's weight is the sum over its vertices, so with
+    unit weights it is the number of vertices.  Deterministic output: sorted
+    by the graded tree order.  Labels may repeat freely.
     """
     letters = [check_label(a) for a in alphabet]
     if not letters:
         raise ValueError("alphabet must be nonempty")
     if degree < 1:
         raise ValueError("degree must be >= 1, got %d" % degree)
-    return _trees_memo(tuple(sorted(set(letters))), degree)
+    weights = weights or {}
+    weighted = tuple(sorted({(a, weights.get(a, 1)) for a in letters}))
+    for a, w in weighted:
+        if not isinstance(w, int) or w < 1:
+            raise ValueError("weight of %r must be a positive integer, got %r" % (a, w))
+    return _trees_memo(weighted, degree)
 
 
 _TREES_CACHE = {}
 
 
-def _trees_memo(letters, degree):
-    got = _TREES_CACHE.get((letters, degree))
+def _trees_memo(weighted, degree):
+    got = _TREES_CACHE.get((weighted, degree))
     if got is None:
-        got = _enumerate(letters, degree)
-        _TREES_CACHE[(letters, degree)] = got
+        got = _enumerate(weighted, degree)
+        _TREES_CACHE[(weighted, degree)] = got
     return got
 
 
-def _enumerate(letters, degree):
-    if degree == 1:
-        return sorted(kernel.leaf(a) for a in letters)
-    pool = []
-    for d in range(1, degree):
-        pool.extend(_trees_memo(letters, d))
+def _enumerate(weighted, degree):
+    # subtree pool: every tree of smaller weight, paired with its weight
+    pool = [(t, d) for d in range(1, degree) for t in _trees_memo(weighted, d)]
     out = set()
-    for label in letters:
-        for combo in _subtree_multisets(pool, 0, degree - 1):
-            out.add(kernel.node(label, combo))
+    for label, w in weighted:
+        if w == degree:
+            out.add(kernel.leaf(label))
+        elif w < degree:
+            for combo in _subtree_multisets(pool, 0, degree - w):
+                out.add(kernel.node(label, combo))
     return sorted(out)
 
 
 def _subtree_multisets(pool, start, budget):
-    """Nondecreasing tuples of pool trees (by pool index) with total degree = budget."""
+    """Nondecreasing tuples of pool trees (by pool index) with total weight = budget."""
     if budget == 0:
         yield ()
         return
     for i in range(start, len(pool)):
-        t = pool[i]
-        if t.degree > budget:
-            continue
-        for rest in _subtree_multisets(pool, i, budget - t.degree):
+        t, w = pool[i]
+        if w > budget:
+            break  # the pool is ordered by weight
+        for rest in _subtree_multisets(pool, i, budget - w):
             yield (t,) + rest
 
 

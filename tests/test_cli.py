@@ -172,3 +172,46 @@ def test_reconstruct_malformed_exit_2(tmp_path, capsys):
 def test_present_rejects_bad_alphabet(capsys):
     code, _, err = run_cli(capsys, "present", "a,-", "3")
     assert code == 2
+
+
+def _with_coefficient(tmp_path, capsys, coeff):
+    path = tmp_path / "coeff.json"
+    run_cli(capsys, "present", "a", "3", "-o", str(path))
+    doc = json.loads(path.read_text())
+    doc["product"]["a"]["a"] = [[coeff, "a[a]"]]
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_reconstruct_rejects_float_coefficient_exit_2(tmp_path, capsys):
+    # 0.1 has no exact binary value; it must not turn into 3602879701896397/2^55
+    path = _with_coefficient(tmp_path, capsys, 0.1)
+    code, out, err = run_cli(capsys, "reconstruct", str(path), "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("format error:") and err.count("\n") == 1
+    assert "0.1" in err
+
+
+def test_reconstruct_rejects_integral_float_coefficient_exit_2(tmp_path, capsys):
+    path = _with_coefficient(tmp_path, capsys, 1.0)
+    code, out, err = run_cli(capsys, "reconstruct", str(path), "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("format error:") and err.count("\n") == 1
+
+
+def test_reconstruct_accepts_string_coefficient(tmp_path, capsys):
+    path = _with_coefficient(tmp_path, capsys, "1")
+    code, out, _ = run_cli(capsys, "reconstruct", str(path), "3")
+    assert code == 0
+    assert "isomorphism up to degree 3, dims 1,1,2" in out
+
+
+def test_reconstruct_max_degree_above_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "free_a3.json"
+    run_cli(capsys, "present", "a", "3", "-o", str(path))
+    code, out, err = run_cli(capsys, "reconstruct", str(path), "5")
+    assert code == 2
+    assert out == ""
+    assert err == "max_degree 5 exceeds the presented degree 3\n"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from treelie.freemod import (
     Element,
     TensorElement,
+    accumulate,
     add,
     filtration_degree,
     invert_matrix,
@@ -77,6 +78,58 @@ def test_vector_space_axioms(x, y, z, c, d):
     assert c * (x + y) == c * x + c * y
     assert (c + d) * x == c * x + d * x
     assert c * (d * x) == (c * d) * x
+
+
+def _old_add(terms, other_terms):
+    """The dict-copying sum that ``Element.__add__`` used before the shared
+    accumulator; kept as the oracle for it."""
+    out = dict(terms)
+    for k, c in other_terms.items():
+        s = out.get(k, 0) + c
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+tensors = st.builds(
+    lambda terms: TensorElement(2, terms),
+    st.dictionaries(
+        st.tuples(st.sampled_from(POOL), st.sampled_from(POOL)),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6),
+        max_size=4,
+    ),
+)
+
+
+def _check_block_sums(summands, cancel, zero):
+    # the negated first ``cancel`` summands make part or all of the sum vanish
+    summands = summands + [(x, -c) for x, c in summands[:cancel]]
+    old = {}
+    for x, c in summands:
+        old = _old_add(old, (c * x).terms)
+    acc = {}
+    for x, c in summands:
+        accumulate(acc, x.items(), c)
+    assert acc == old
+    assert 0 not in acc.values()
+    total = zero
+    for x, c in summands:
+        total = total + c * x
+    assert total.terms == old
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(elements, rationals), max_size=6), st.integers(0, 6))
+def test_accumulate_matches_repeated_element_addition(summands, cancel):
+    _check_block_sums(summands, cancel, Element())
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(tensors, rationals), max_size=6), st.integers(0, 6))
+def test_accumulate_matches_repeated_tensor_addition(summands, cancel):
+    _check_block_sums(summands, cancel, TensorElement(2))
 
 
 def test_tensor_examples():

@@ -40,6 +40,39 @@ def alg():
     return FreeTreeAlgebra(["a", "b"])
 
 
+# -- the Algebra interface ----------------------------------------------------
+
+
+def test_free_algebra_product_is_the_grafting_product():
+    alg = FreeTreeAlgebra(["a", "b"])
+    basis = [t for d in range(1, 4) for t in alg.basis(d)]
+    x = E("a") + Fraction(-2, 3) * E("a[b]") + 5 * E("b[a,a]")
+    y = 3 * E("b") - E("a[a]")
+    assert alg.product(x, y) == prelie_product(x, y)
+    for s in basis:
+        for t in basis:
+            assert alg.product(Element.of(s), Element.of(t)) == prelie_product(Element.of(s), Element.of(t))
+    assert len(alg.cache("product")) == len(basis) ** 2  # every basis pair, cached once
+
+
+def test_presented_product_and_coproduct_match_the_free_ones():
+    free = FreeTreeAlgebra(["a"])
+    pres = free_presentation(["a"], 4)
+
+    def up(x):
+        return Element({pres.key(t.key): c for t, c in x.items()})
+
+    x = E("a") - 2 * E("a[a]")
+    y = Fraction(1, 2) * E("a") + E("a[a]")
+    assert pres.product(up(x), up(y)) == up(free.product(x, y))
+    z = E("a[a[a],a]") - 3 * E("a[a,a]")
+    got = pres.coproduct(up(z))
+    want = free.coproduct(z)
+    assert {(u.name, v.name): c for (u, v), c in got.items()} == {
+        (u.key, v.key): c for (u, v), c in want.items()
+    }
+
+
 # -- A_k / U_k ---------------------------------------------------------------
 
 
