@@ -13,8 +13,9 @@ it a whole block of ``(key, coeff)`` items with one scale, so a sum of many
 terms costs one pass and no intermediate copies.
 
 The module also houses the small exact linear algebra needed elsewhere
-(rank, nullspace, span membership over the rationals) and the coalgebra
-filtration computation.
+(rank, nullspace, span membership over the rationals) and ``Filtration``,
+the coalgebra filtration of a graded basis, built once and queried per
+element.
 """
 
 import math
@@ -72,6 +73,14 @@ class Element:
         self.terms = {k: c for k, c in data.items() if c}
 
     @classmethod
+    def _trusted(cls, terms):
+        """Element owning ``terms`` as given: a fresh dict with no zero
+        values, such as an ``accumulate`` result, taken without a copy."""
+        x = cls.__new__(cls)
+        x.terms = terms
+        return x
+
+    @classmethod
     def zero(cls):
         return cls()
 
@@ -107,10 +116,10 @@ class Element:
         return ds == [] or ds == [degree]
 
     def homogeneous_part(self, degree):
-        return Element({k: c for k, c in self.terms.items() if k.degree == degree})
+        return Element._trusted({k: c for k, c in self.terms.items() if k.degree == degree})
 
     def __add__(self, other):
-        return Element(accumulate(dict(self.terms), other.terms.items()))
+        return Element._trusted(accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -122,7 +131,7 @@ class Element:
         c = _coeff(coeff)
         if not c:
             return Element()
-        return Element({k: c * v for k, v in self.terms.items()})
+        return Element._trusted({k: c * v for k, v in self.terms.items()})
 
     def __eq__(self, other):
         return isinstance(other, Element) and self.terms == other.terms
@@ -156,6 +165,15 @@ class TensorElement:
         self.terms = {t: c for t, c in data.items() if c}
 
     @classmethod
+    def _trusted(cls, rank, terms):
+        """TensorElement owning ``terms`` as given: a fresh dict of
+        rank-``rank`` tuples with no zero values, taken without a copy."""
+        x = cls.__new__(cls)
+        x.rank = rank
+        x.terms = terms
+        return x
+
+    @classmethod
     def zero(cls, rank):
         return cls(rank)
 
@@ -176,7 +194,7 @@ class TensorElement:
     def __add__(self, other):
         if self.rank != other.rank:
             raise ValueError("rank mismatch: %d vs %d" % (self.rank, other.rank))
-        return TensorElement(self.rank, accumulate(dict(self.terms), other.terms.items()))
+        return TensorElement._trusted(self.rank, accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -188,7 +206,7 @@ class TensorElement:
         c = _coeff(coeff)
         if not c:
             return TensorElement(self.rank)
-        return TensorElement(self.rank, {k: c * v for k, v in self.terms.items()})
+        return TensorElement._trusted(self.rank, {k: c * v for k, v in self.terms.items()})
 
     def __eq__(self, other):
         return (
@@ -247,7 +265,7 @@ def parse_element(text, parse_key):
         terms.append((parse_key(tokens[pos + 2]), c))
         pos += 3
         sign = 1
-    return Element(accumulate({}, terms))
+    return Element._trusted(accumulate({}, terms))
 
 
 def parse_tensor_element(text, parse_key, rank=None):
@@ -282,7 +300,7 @@ def parse_tensor_element(text, parse_key, rank=None):
             raise ValueError("mixed tensor ranks %d and %d" % (seen_rank, len(keys)))
         terms.append((keys, c))
         sign = 1
-    return TensorElement(seen_rank, accumulate({}, terms))
+    return TensorElement._trusted(seen_rank, accumulate({}, terms))
 
 
 def add(x, y):
@@ -303,7 +321,7 @@ def tensor(*factors):
     terms = {(): 1}
     for f in factors:
         terms = {keys + (k,): c * d for keys, c in terms.items() for k, d in f.items()}
-    return TensorElement(len(factors), terms)
+    return TensorElement._trusted(len(factors), terms)
 
 
 def expand_slot(t, slot, f, out_rank):
@@ -316,7 +334,7 @@ def expand_slot(t, slot, f, out_rank):
     for keys, c in t.items():
         head, tail = keys[:slot], keys[slot + 1 :]
         accumulate(acc, ((head + mid + tail, c2) for mid, c2 in f(keys[slot]).items()), c)
-    return TensorElement(out_rank, acc)
+    return TensorElement._trusted(out_rank, acc)
 
 
 def permute_slots(t, sigma):
@@ -331,7 +349,7 @@ def permute_slots(t, sigma):
     inv = [0] * n
     for i, s in enumerate(sigma):
         inv[s - 1] = i
-    return TensorElement(n, {tuple(keys[inv[i]] for i in range(n)): c for keys, c in t.items()})
+    return TensorElement._trusted(n, {tuple(keys[inv[i]] for i in range(n)): c for keys, c in t.items()})
 
 
 def swap_slots(t, i, j):
@@ -342,7 +360,7 @@ def swap_slots(t, i, j):
         out[i], out[j] = out[j], out[i]
         return tuple(out)
 
-    return TensorElement(t.rank, {sw(keys): c for keys, c in t.items()})
+    return TensorElement._trusted(t.rank, {sw(keys): c for keys, c in t.items()})
 
 
 def is_invariant_1k(t):
@@ -465,6 +483,123 @@ def transpose(rows):
     return [list(col) for col in zip(*rows)]
 
 
+class Filtration:
+    """The coalgebra filtration of a graded basis up to ``max_degree``, built once.
+
+    ``C_1 = ker(coproduct)`` and ``C_n`` is the preimage of
+    ``sum_i C_i (x) C_{n-i}``.  ``coproduct`` maps a basis key to a rank-2
+    TensorElement and ``basis`` maps a degree to the full list of basis keys
+    in that degree.  Every coproduct image is laid out once per degree: the
+    graded bidegree blocks that occur in some image, then one column per
+    stray (off-block or out-of-basis) pair.  Stray coordinates are kept as
+    genuine extra coordinates, so an ungraded coproduct correctly excludes
+    an element from every ``C_n``.
+
+    The echelonized spaces ``C_n`` within ``H_d`` are computed on first use
+    and kept, so one Filtration answers ``degree_of`` for any number of
+    elements.  Once the coproduct is graded, the image of a degree-``d`` key
+    lies in degrees below ``d``, so ``C_n`` within ``H_d`` is the same for
+    every ``max_degree >= d``.
+    """
+
+    def __init__(self, coproduct, basis, max_degree):
+        self.max_degree = max_degree
+        self._bases = {d: list(basis(d)) for d in range(1, max_degree + 1)}
+        self._index = {d: {k: i for i, k in enumerate(keys)} for d, keys in self._bases.items()}
+        # d -> (blocks [(d1, d2, start, width)], first stray column, coproduct rows)
+        self._layout = {d: self._lay_out([coproduct(k) for k in keys]) for d, keys in self._bases.items()}
+        self._spaces = {}  # (n, d) -> echelon row space of C_n within H_d
+
+    def _locate(self, key):
+        i = self._index.get(key.degree, {}).get(key)
+        return (key.degree, i) if i is not None else None
+
+    def _lay_out(self, deltas):
+        bidegrees = set()
+        strays = {}
+        for t in deltas:
+            for (u, v), _ in t.items():
+                if self._locate(u) is not None and self._locate(v) is not None:
+                    bidegrees.add((u.degree, v.degree))
+                elif (u, v) not in strays:
+                    strays[(u, v)] = len(strays)
+        blocks = []
+        offsets = {}
+        total = 0
+        for d1, d2 in sorted(bidegrees):
+            width = len(self._bases[d1]) * len(self._bases[d2])
+            blocks.append((d1, d2, total, width))
+            offsets[(d1, d2)] = total
+            total += width
+        rows = []
+        for t in deltas:
+            vec = [Fraction(0)] * (total + len(strays))
+            for (u, v), c in t.items():
+                lu, lv = self._locate(u), self._locate(v)
+                if lu is not None and lv is not None:
+                    vec[offsets[(lu[0], lv[0])] + lu[1] * len(self._bases[lv[0]]) + lv[1]] += c
+                else:
+                    vec[total + strays[(u, v)]] += c
+            rows.append(vec)
+        return blocks, total, rows
+
+    def _space(self, n, d):
+        """Echelon rows and pivots of ``C_n`` within ``H_d``."""
+        got = self._spaces.get((n, d))
+        if got is None:
+            got = self._spaces[(n, d)] = self._build(n, d)
+        return got
+
+    def _build(self, n, d):
+        dim = len(self._bases[d])
+        if n > 1:
+            below = self._space(n - 1, d)
+            if len(below[0]) == dim:
+                return below  # C_{n-1} lies in C_n, so C_n holds all of H_d
+        blocks, stray_start, rows = self._layout[d]
+        reduced = [[] for _ in rows]
+        for d1, d2, start, width in blocks:
+            ech, piv = self._tensor_span(n, d1, d2) if n > 1 else ([], [])
+            for out, row in zip(reduced, rows):
+                out.extend(reduce_mod_rows(row[start : start + width], ech, piv))
+        for out, row in zip(reduced, rows):
+            out.extend(row[stray_start:])
+        if not reduced or not reduced[0]:
+            kern = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+        else:
+            kern = nullspace(transpose(reduced))
+        return echelon(kern) if kern else ([], [])
+
+    def _tensor_span(self, n, d1, d2):
+        """Echelon form of ``sum_i C_i (x) C_{n-i}`` within ``H_d1 (x) H_d2``."""
+        span_rows = []
+        for i in range(1, n):
+            left, _ = self._space(i, d1)
+            right, _ = self._space(n - i, d2)
+            span_rows.extend(_outer(lv, rv) for lv in left for rv in right)
+        return echelon(span_rows) if span_rows else ([], [])
+
+    def degree_of(self, x):
+        """Least ``n <= max_degree`` with ``x`` in ``C_n``; ``math.inf`` if none."""
+        if x.is_zero():
+            raise ValueError("the zero element has no filtration degree")
+        if x.max_degree() > self.max_degree:
+            raise ValueError(
+                "element of degree %d above the filtration's degree %d" % (x.max_degree(), self.max_degree)
+            )
+        parts = [(d, x.homogeneous_part(d)) for d in x.degrees()]
+        for n in range(1, self.max_degree + 1):
+            if all(self._contains(n, d, part) for d, part in parts):
+                return n
+        return math.inf
+
+    def _contains(self, n, d, part):
+        ech, piv = self._space(n, d)
+        if len(ech) == len(self._bases[d]):
+            return True  # C_n holds all of H_d
+        return in_row_span(element_vector(part, self._index[d]), ech, piv)
+
+
 def filtration_degree(x, coproduct, basis=None):
     """Least n with x in C_n, for C_1 = ker(coproduct) and
     C_n = preimage of sum_{i} C_i (x) C_{n-i}; ``math.inf`` if no n works.
@@ -472,108 +607,16 @@ def filtration_degree(x, coproduct, basis=None):
     ``coproduct`` maps a basis key to a rank-2 TensorElement.  ``basis`` maps
     a degree to the full list of basis keys in that degree; by default the
     keys are assumed to be kernel trees and the basis is every tree over the
-    labels occurring in ``x``.  Coproduct terms that fall outside the graded
-    blocks (an ungraded coproduct) are kept as genuine extra coordinates, so
-    such elements are correctly excluded from every C_n.
+    labels occurring in ``x``.  One-off form of ``Filtration``: to ask about
+    many elements, build one Filtration and call ``degree_of``.
     """
-    if x.is_zero():
-        raise ValueError("the zero element has no filtration degree")
     if basis is None:
         letters = sorted({v.label for k in x.support() for v in tree_core.vertices(k)})
 
         def basis(d):
             return tree_core.enumerate_trees(letters, d)
 
-    dmax = x.max_degree()
-    bases = {d: list(basis(d)) for d in range(1, dmax + 1)}
-    index = {d: {k: i for i, k in enumerate(bases[d])} for d in bases}
-    deltas = {d: [coproduct(k) for k in bases[d]] for d in bases}
-
-    def locate(key):
-        d = key.degree
-        i = index.get(d, {}).get(key)
-        return (d, i) if i is not None else None
-
-    # column layout per degree: the graded bidegree blocks that occur in some
-    # image, then one column per stray (off-block or out-of-basis) pair
-    layout = {}
-    for d in bases:
-        blocks = set()
-        strays = {}
-        for t in deltas[d]:
-            for (u, v), _ in t.items():
-                lu, lv = locate(u), locate(v)
-                if lu is not None and lv is not None:
-                    blocks.add((lu[0], lv[0]))
-                elif (u, v) not in strays:
-                    strays[(u, v)] = len(strays)
-        layout[d] = (sorted(blocks), strays)
-
-    def tensor_vector(t, d):
-        blocks, strays = layout[d]
-        offsets = {}
-        total = 0
-        for d1, d2 in blocks:
-            offsets[(d1, d2)] = total
-            total += len(bases[d1]) * len(bases[d2])
-        vec = [Fraction(0)] * (total + len(strays))
-        for (u, v), c in t.items():
-            lu, lv = locate(u), locate(v)
-            if lu is not None and lv is not None:
-                vec[offsets[(lu[0], lv[0])] + lu[1] * len(bases[lv[0]]) + lv[1]] += c
-            else:
-                vec[total + strays[(u, v)]] += c
-        return vec
-
-    # c_space[n][d]: echelon row space of C_n within H_d
-    c_space = {}
-    for n in range(1, dmax + 1):
-        c_space[n] = {}
-        for d in bases:
-            dim = len(bases[d])
-            blocks, strays = layout[d]
-            # span of sum_i C_i (x) C_{n-i}: zero on stray columns by design
-            span = {}
-            if n > 1:
-                for d1, d2 in blocks:
-                    span_rows = []
-                    for i in range(1, n):
-                        left, _ = c_space[i][d1]
-                        right, _ = c_space[n - i][d2]
-                        for lv in left:
-                            for rv in right:
-                                span_rows.append(_outer(lv, rv))
-                    span[(d1, d2)] = echelon(span_rows) if span_rows else ([], [])
-            reduced = []
-            for t in deltas[d]:
-                row = []
-                full = tensor_vector(t, d)
-                pos = 0
-                for d1, d2 in blocks:
-                    width = len(bases[d1]) * len(bases[d2])
-                    vec = full[pos : pos + width]
-                    pos += width
-                    if n > 1:
-                        ech, piv = span[(d1, d2)]
-                        vec = reduce_mod_rows(vec, ech, piv)
-                    row.extend(vec)
-                row.extend(full[pos:])
-                reduced.append(row)
-            if not reduced or not reduced[0]:
-                kern = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
-            else:
-                kern = nullspace(transpose(reduced))
-            c_space[n][d] = echelon(kern) if kern else ([], [])
-        ok = True
-        for d in x.degrees():
-            vec = element_vector(x.homogeneous_part(d), index[d])
-            ech, piv = c_space[n][d]
-            if not in_row_span(vec, ech, piv):
-                ok = False
-                break
-        if ok:
-            return n
-    return math.inf
+    return Filtration(coproduct, basis, x.max_degree()).degree_of(x)
 
 
 def _outer(u, v):

@@ -81,7 +81,7 @@ def pl_compose(t, i, s):
         for c, target in zip(children, targets):
             parent[host(c) - 1] = sub(target)
         out[LabeledTree(tuple(parent))] = 1
-    return Element(out)
+    return Element._trusted(out)
 
 
 def as_element(x):
@@ -94,7 +94,7 @@ def compose_elements(compose, x, i, y):
     for t, ct in as_element(x).items():
         for s, cs in as_element(y).items():
             accumulate(acc, as_element(compose(t, i, s)).items(), ct * cs)
-    return Element(acc)
+    return Element._trusted(acc)
 
 
 def act_element(sigma, x):
@@ -329,7 +329,7 @@ def word_product(word, letters, product):
 
 def evaluate_element(x, letters):
     """Evaluate a combination of n-labeled trees on n generator letters."""
-    return Element(accumulate({}, ((t.to_rooted(letters), c) for t, c in as_element(x).items())))
+    return Element._trusted(accumulate({}, ((t.to_rooted(letters), c) for t, c in as_element(x).items())))
 
 
 def evaluation_consistency_check(max_arity=4):

@@ -16,13 +16,13 @@ def prelie_product(x, y):
     for s, cs in x.items():
         for t, ct in y.items():
             accumulate(acc, kernel.prelie_counts(s, t).items(), cs * ct)
-    return Element(acc)
+    return Element._trusted(acc)
 
 
 def nap_product(x, y):
     """NAP product: graft each y-term onto the root of each x-term."""
     grafts = ((kernel.root_graft(s, t), cs * ct) for s, cs in x.items() for t, ct in y.items())
-    return Element(accumulate({}, grafts))
+    return Element._trusted(accumulate({}, grafts))
 
 
 def bracket(x, y):
@@ -43,4 +43,4 @@ def module_action(m, y, product=prelie_product):
             head, tail = keys[:i], keys[i + 1 :]
             hit = product(Element.of(keys[i]), y)
             accumulate(acc, ((head + (k2,) + tail, c2) for k2, c2 in hit.items()), c)
-    return TensorElement(m.rank, acc)
+    return TensorElement._trusted(m.rank, acc)

@@ -51,9 +51,19 @@ def node(label, children):
     return kernel.node(check_label(label), children)
 
 
+# Deepest bracket nesting ``parse_tree`` accepts: a root-to-leaf path of at
+# most this many vertices.  The parser and the kernel's vertex walks recurse
+# once per level, so deeper input is rejected before any deep recursion.
+MAX_TREE_DEPTH = 256
+
+
 def parse_tree(text):
-    """Parse tree-grammar text into its canonical RootedTree."""
-    tree, pos = _parse(text, _skip_ws(text, 0))
+    """Parse tree-grammar text into its canonical RootedTree.
+
+    Raises TreeSyntaxError on malformed text and on nesting deeper than
+    ``MAX_TREE_DEPTH`` levels.
+    """
+    tree, pos = _parse(text, _skip_ws(text, 0), 1)
     pos = _skip_ws(text, pos)
     if pos != len(text):
         raise TreeSyntaxError("unexpected trailing input %r" % text[pos : pos + 10], pos)
@@ -66,7 +76,9 @@ def _skip_ws(text, pos):
     return pos
 
 
-def _parse(text, pos):
+def _parse(text, pos, depth):
+    if depth > MAX_TREE_DEPTH:
+        raise TreeSyntaxError("tree nesting deeper than %d levels" % MAX_TREE_DEPTH, pos)
     m = _LABEL_RE.match(text, pos)
     if m is None:
         found = text[pos] if pos < len(text) else "end of input"
@@ -77,7 +89,7 @@ def _parse(text, pos):
         children = []
         pos = _skip_ws(text, pos + 1)
         while True:
-            child, pos = _parse(text, pos)
+            child, pos = _parse(text, pos, depth + 1)
             children.append(child)
             pos = _skip_ws(text, pos)
             if pos < len(text) and text[pos] == ",":
@@ -159,12 +171,16 @@ def _trees_memo(weighted, degree):
 def _enumerate(weighted, degree):
     # subtree pool: every tree of smaller weight, paired with its weight
     pool = [(t, d) for d in range(1, degree) for t in _trees_memo(weighted, d)]
+    forests = {}  # budget -> child multisets; letters of equal weight share them
     out = set()
     for label, w in weighted:
         if w == degree:
             out.add(kernel.leaf(label))
         elif w < degree:
-            for combo in _subtree_multisets(pool, 0, degree - w):
+            budget = degree - w
+            if budget not in forests:
+                forests[budget] = list(_subtree_multisets(pool, 0, budget))
+            for combo in forests[budget]:
                 out.add(kernel.node(label, combo))
     return sorted(out)
 

@@ -38,6 +38,26 @@ def test_product_parse_error_exits_2(capsys):
     assert "parse error" in err
 
 
+def _chain(depth):
+    return "a[" * (depth - 1) + "a" + "]" * (depth - 1)
+
+
+def test_deep_tree_exits_2_with_one_line(capsys):
+    for argv in (("product", "prelie", _chain(3000), "a"), ("coproduct", _chain(257)), ("e", _chain(3000))):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "parse error: tree nesting deeper than 256 levels (at position 512)\n"
+
+
+def test_tree_at_depth_limit_runs(capsys):
+    code, out, _ = run_cli(capsys, "product", "nap", _chain(256), "b")
+    assert code == 0
+    assert out == "1 * a[%s,b]\n" % _chain(255)
+    code, out, _ = run_cli(capsys, "coproduct", _chain(256))
+    assert code == 0
+    assert out == "1 * a (x) %s\n" % _chain(255)
+
+
 def test_coproduct_default_k(capsys):
     code, out, _ = run_cli(capsys, "coproduct", "a[b]")
     assert code == 0

@@ -132,6 +132,53 @@ def test_accumulate_matches_repeated_tensor_addition(summands, cancel):
     _check_block_sums(summands, cancel, TensorElement(2))
 
 
+def _trusted_equals_public(summands, cancel, make_public, make_trusted):
+    summands = summands + [(x, -c) for x, c in summands[:cancel]]
+    acc = {}
+    for x, c in summands:
+        accumulate(acc, x.items(), c)
+    public, trusted = make_public(dict(acc)), make_trusted(acc)
+    assert trusted == public and trusted.terms == public.terms
+    assert hash(trusted) == hash(public) and str(trusted) == str(public)
+    assert trusted.terms is acc  # taken without a copy
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(elements, rationals), max_size=6), st.integers(0, 6))
+def test_trusted_element_equals_public_constructor(summands, cancel):
+    _trusted_equals_public(summands, cancel, Element, Element._trusted)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(tensors, rationals), max_size=6), st.integers(0, 6))
+def test_trusted_tensor_equals_public_constructor(summands, cancel):
+    _trusted_equals_public(
+        summands,
+        cancel,
+        lambda terms: TensorElement(2, terms),
+        lambda terms: TensorElement._trusted(2, terms),
+    )
+
+
+@settings(max_examples=60)
+@given(elements, elements, rationals)
+def test_sums_and_scalings_match_public_constructor(x, y, c):
+    # every arithmetic result equals the zero-filtered public construction
+    for z in (x + y, x - y, c * x, -x, x.homogeneous_part(2)):
+        assert z == Element(z.terms) and 0 not in z.terms.values()
+    t = tensor(x, y)
+    for z in (t, t + tensor(y, x), c * t, swap_slots(t, 0, 1), permute_slots(t, (2, 1))):
+        assert z == TensorElement(2, z.terms) and 0 not in z.terms.values()
+
+
+def test_public_constructors_still_filter_and_check():
+    a = parse_tree("a")
+    assert Element({a: 0}).terms == {}
+    assert TensorElement(2, {(a, a): 0}).terms == {}
+    with pytest.raises(ValueError):
+        TensorElement(2, {(a,): 1})
+
+
 def test_tensor_examples():
     a, b, c = E("a"), E("b"), E("a[b]")
     assert tensor(a, b) == TensorElement.of((parse_tree("a"), parse_tree("b")))

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from treelie import kernel
 from treelie import tree_core as tc
 from treelie.tree_core import (
     LabeledTree,
@@ -62,6 +63,22 @@ def test_parse_error_position():
     with pytest.raises(TreeSyntaxError) as exc:
         parse_tree("a[b,?]")
     assert exc.value.position == 4
+
+
+def _chain(depth):
+    return "a[" * (depth - 1) + "a" + "]" * (depth - 1)
+
+
+def test_parse_depth_limit():
+    limit = tc.MAX_TREE_DEPTH
+    deepest = parse_tree(_chain(limit))
+    assert deepest.degree == limit and render_tree(deepest) == _chain(limit)
+    with pytest.raises(TreeSyntaxError) as info:
+        parse_tree(_chain(limit + 1))
+    assert "nesting deeper than %d levels" % limit in str(info.value)
+    assert info.value.position == 2 * limit
+    # a wide tree is not deep: many children at one level are fine
+    assert parse_tree("a[" + ",".join(["b"] * 3 * limit) + "]").degree == 3 * limit + 1
 
 
 def test_label_validation():
@@ -128,6 +145,42 @@ def test_enumerate_errors():
         enumerate_trees(["a"], 0)
     with pytest.raises(ValueError):
         enumerate_trees([], 2)
+
+
+def _enumerate_per_letter(weighted, degree, memo):
+    """The enumerator before forests were shared between letters: it builds
+    the subtree multisets once per letter; kept as the oracle."""
+    got = memo.get(degree)
+    if got is None:
+        pool = [(t, d) for d in range(1, degree) for t in _enumerate_per_letter(weighted, d, memo)]
+        out = set()
+        for label, w in weighted:
+            if w == degree:
+                out.add(kernel.leaf(label))
+            elif w < degree:
+                for combo in tc._subtree_multisets(pool, 0, degree - w):
+                    out.add(kernel.node(label, combo))
+        got = memo[degree] = sorted(out)
+    return got
+
+
+@pytest.mark.parametrize(
+    "weights,max_degree",
+    [
+        ({"a": 1, "b": 1}, 7),
+        ({"a": 1}, 8),
+        ({"a": 1, "b": 2}, 7),
+        ({"a": 2, "b": 2, "c": 1}, 7),
+        ({"p1_0": 1, "p2_0": 2, "p2_1": 2, "p3_0": 3}, 7),
+    ],
+)
+def test_shared_forests_match_per_letter_enumeration(weights, max_degree):
+    weighted = tuple(sorted(weights.items()))
+    memo = {}
+    for d in range(1, max_degree + 1):
+        expected = _enumerate_per_letter(weighted, d, memo)
+        assert tc._enumerate(weighted, d) == expected
+        assert enumerate_trees(list(weights), d, weights) == expected
 
 
 # -- canonical form soundness against an independent isomorphism oracle -----
