@@ -46,6 +46,7 @@ from treelie.rigidity import (
     mu_image_witness,
     mu_of_tensor,
     primitives_basis,
+    projector_image,
     reconstruct,
     uk_apply,
 )
@@ -445,18 +446,23 @@ def check_annihilation(alphabet, total):
 
 def check_decomposition(max_degree):
     """Primitive/decomposable splitting: dim e(H_n) + dim mu(H (x) H)_n = dim H_n,
-    with the one-generator dims 1,1,2,4,9,20,... and primitives only in degree 1;
-    plus the constructive witness mu(w) = x - e(x)."""
+    with the one-generator dims 1,1,2,4,9,20,... and primitives only in degree 1,
+    where the image of e equals the primitives ker(Delta); plus the
+    constructive witness mu(w) = x - e(x)."""
     alg = FreeTreeAlgebra(ONE_LETTER)
     expected = _rooted_tree_counts(max_degree)
     failures, count = [], 0
     for n in range(1, max_degree + 1):
         dim = len(alg.basis(n))
-        prim = len(primitives_basis(alg, n))
+        image = projector_image(alg, n)
+        prim = len(image)
         dec = decomposables_rank(alg, n)
         count += 1
         if dim != expected[n - 1]:
             failures.append("degree %d: dim %d != %d" % (n, dim, expected[n - 1]))
+            break
+        if image != primitives_basis(alg, n):
+            failures.append("degree %d: image of e differs from ker(Delta)" % n)
             break
         if prim != (1 if n == 1 else 0):
             failures.append("degree %d: primitive dim %d" % (n, prim))

@@ -12,8 +12,10 @@ coefficients are added into a dict and zero sums are dropped; callers hand
 it a whole block of ``(key, coeff)`` items with one scale, so a sum of many
 terms costs one pass and no intermediate copies.
 
-The module also houses the small exact linear algebra needed elsewhere
-(rank, nullspace, span membership over the rationals) and ``Filtration``,
+The module also houses the exact linear algebra needed elsewhere, one
+sparse elimination kernel (``rref`` over rows stored as ``{column: coeff}``
+dicts, with remainders and nullspaces built on it) under the dense
+list-of-lists ``echelon``/``nullspace``/rank functions, and ``Filtration``,
 the coalgebra filtration of a graded basis, built once and queried per
 element.
 """
@@ -379,75 +381,134 @@ def is_invariant_1k(t):
 
 # ---------------------------------------------------------------------------
 # exact linear algebra over the rationals
+#
+# One kernel works on sparse rows: dicts ``{column: coefficient}`` with no
+# zero values and int or Fraction coefficients.  ``rref`` is the one
+# elimination routine; ``reduce_row`` and ``sparse_nullspace`` are built on
+# its result, and the dense list-of-lists functions below them convert to
+# and from it.
+
+
+def _axpy(row, f, other, skip):
+    """``row -= f * other`` in place, leaving out column ``skip``."""
+    get = row.get
+    for c, v in other.items():
+        if c != skip:
+            w = get(c, 0) - f * v
+            if w:
+                row[c] = w
+            else:
+                del row[c]
+
+
+def reduce_row(row, ech):
+    """Remainder of the sparse ``row`` modulo the reduced echelon form
+    ``ech`` (a ``{pivot: row}`` dict from ``rref``); a new dict.
+
+    Each row of ``ech`` is zero at every other pivot, so subtracting it
+    changes no other pivot coordinate and one pass over the pivots present
+    in ``row`` suffices.
+    """
+    out = dict(row)
+    for p in [c for c in row if c in ech]:
+        _axpy(out, out.pop(p), ech[p], p)
+    return out
+
+
+def rref(rows):
+    """Reduced row echelon form of sparse rows, as ``{pivot: row}`` in
+    increasing pivot order.  Every row is 1 at its pivot, the leftmost
+    column it holds, and 0 at every other pivot.  The input is not changed.
+    """
+    ech = {}
+    seen = set()  # every column any row of ech has held
+    for row in rows:
+        row = reduce_row(row, ech)
+        if not row:
+            continue
+        p = min(row)
+        lead = row[p]
+        if lead != 1:
+            inv = Fraction(1) / lead
+            row = {c: v * inv for c, v in row.items()}
+        row[p] = 1
+        if p in seen:
+            for other in ech.values():
+                f = other.get(p)
+                if f:
+                    _axpy(other, f, row, p)
+                    del other[p]
+        seen.update(row)
+        ech[p] = row
+    return dict(sorted(ech.items()))
+
+
+def sparse_nullspace(rows, ncols):
+    """Basis of ``{x : row . x = 0 for every row}`` over ``ncols`` columns,
+    one sparse vector per free column in increasing order: 1 at the free
+    column and minus the reduced rows' entries there at their pivots."""
+    ech = rref(rows)
+    by_free = {}
+    for p, row in ech.items():
+        for c, v in row.items():
+            if c != p:
+                by_free.setdefault(c, {})[p] = -v
+    out = []
+    for c in range(ncols):
+        if c not in ech:
+            vec = by_free.get(c, {})
+            vec[c] = 1
+            out.append(vec)
+    return out
+
+
+def _sparse(rows):
+    return [{c: Fraction(v) for c, v in enumerate(r) if v} for r in rows]
+
+
+def _dense(row, ncols):
+    return [Fraction(row.get(c, 0)) for c in range(ncols)]
 
 
 def echelon(rows):
-    """Row echelon form (copies input); returns (rows, pivot column indices)."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    pivots = []
-    r = 0
-    cols = len(mat[0]) if mat else 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+    """Reduced row echelon form of a dense matrix (the input is not
+    changed); returns (rows, pivot column indices)."""
+    ncols = len(rows[0]) if rows else 0
+    ech = rref(_sparse(rows))
+    return [_dense(r, ncols) for r in ech.values()], list(ech)
 
 
 def matrix_rank(rows):
-    return len(echelon(rows)[0])
+    return len(rref(_sparse(rows)))
 
 
 def nullspace(rows):
     """Basis of {x : rows . x = 0}, one vector per free column."""
     if not rows:
         return []
-    cols = len(rows[0])
-    ech, pivots = echelon(rows)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * cols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -ech[r][fc]
-        basis.append(vec)
-    return basis
+    ncols = len(rows[0])
+    return [_dense(v, ncols) for v in sparse_nullspace(_sparse(rows), ncols)]
 
 
 def reduce_mod_rows(vec, ech, pivots):
-    """Remainder of ``vec`` after elimination against echelon rows."""
-    out = list(map(Fraction, vec))
-    for r, c in enumerate(pivots):
-        if out[c] != 0:
-            f = out[c]
-            out = [a - f * b for a, b in zip(out, ech[r])]
-    return out
+    """Remainder of ``vec`` after elimination against ``echelon`` rows."""
+    return _dense(reduce_row(_sparse([vec])[0], dict(zip(pivots, _sparse(ech)))), len(vec))
 
 
 def in_row_span(vec, ech, pivots):
-    return all(v == 0 for v in reduce_mod_rows(vec, ech, pivots))
+    return not reduce_row(_sparse([vec])[0], dict(zip(pivots, _sparse(ech))))
 
 
 def invert_matrix(rows):
     """Exact inverse of a square rational matrix; ValueError if singular."""
     n = len(rows)
-    aug = [list(map(Fraction, rows[i])) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    ech, pivots = echelon(aug)
-    if pivots[:n] != list(range(n)):
+    aug = _sparse(rows)
+    for i, row in enumerate(aug):
+        row[n + i] = 1
+    ech = rref(aug)
+    if list(ech)[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [r[n:] for r in ech]
+    return [[Fraction(row.get(n + j, 0)) for j in range(n)] for row in ech.values()]
 
 
 def element_vector(x, basis_index):
@@ -464,23 +525,17 @@ def rank_of_family(elements, degree):
     Raises ValueError when any member is inhomogeneous or sits in the wrong
     degree; the empty family has rank 0.
     """
-    keys = set()
+    index = {}
+    rows = []
     for x in elements:
         if not x.is_homogeneous(degree):
             raise ValueError("inhomogeneous input: degrees %s, expected %d" % (x.degrees(), degree))
-        keys.update(x.support())
-    if not keys:
-        return 0
-    index = {k: i for i, k in enumerate(sorted(keys))}
-    return matrix_rank([element_vector(x, index) for x in elements])
+        rows.append({index.setdefault(k, len(index)): c for k, c in x.items()})
+    return len(rref(rows))
 
 
 # ---------------------------------------------------------------------------
 # coalgebra filtration
-
-
-def transpose(rows):
-    return [list(col) for col in zip(*rows)]
 
 
 class Filtration:
@@ -489,62 +544,49 @@ class Filtration:
     ``C_1 = ker(coproduct)`` and ``C_n`` is the preimage of
     ``sum_i C_i (x) C_{n-i}``.  ``coproduct`` maps a basis key to a rank-2
     TensorElement and ``basis`` maps a degree to the full list of basis keys
-    in that degree.  Every coproduct image is laid out once per degree: the
-    graded bidegree blocks that occur in some image, then one column per
-    stray (off-block or out-of-basis) pair.  Stray coordinates are kept as
-    genuine extra coordinates, so an ungraded coproduct correctly excludes
-    an element from every ``C_n``.
+    in that degree.  Every coproduct image is laid out once per degree as
+    sparse rows: a pair ``(u, v)`` of basis keys of degrees ``(d1, d2)`` sits
+    in the bidegree block ``(d1, d2)`` at column ``i * dim H_d2 + j`` for the
+    indices ``i, j`` of ``u, v``, and every other (stray: off-block or
+    out-of-basis) pair gets a column of its own.  Stray coordinates are kept
+    as genuine extra coordinates, so an ungraded coproduct correctly
+    excludes an element from every ``C_n``.
 
-    The echelonized spaces ``C_n`` within ``H_d`` are computed on first use
-    and kept, so one Filtration answers ``degree_of`` for any number of
-    elements.  Once the coproduct is graded, the image of a degree-``d`` key
-    lies in degrees below ``d``, so ``C_n`` within ``H_d`` is the same for
-    every ``max_degree >= d``.
+    The reduced echelon forms of the spaces ``C_n`` within ``H_d`` are
+    computed on first use and kept, so one Filtration answers ``degree_of``
+    for any number of elements.  Once the coproduct is graded, the image of
+    a degree-``d`` key lies in degrees below ``d``, so ``C_n`` within ``H_d``
+    is the same for every ``max_degree >= d``.
     """
 
     def __init__(self, coproduct, basis, max_degree):
         self.max_degree = max_degree
         self._bases = {d: list(basis(d)) for d in range(1, max_degree + 1)}
         self._index = {d: {k: i for i, k in enumerate(keys)} for d, keys in self._bases.items()}
-        # d -> (blocks [(d1, d2, start, width)], first stray column, coproduct rows)
+        # d -> one (block -> sparse part, sparse stray part) per basis key
         self._layout = {d: self._lay_out([coproduct(k) for k in keys]) for d, keys in self._bases.items()}
-        self._spaces = {}  # (n, d) -> echelon row space of C_n within H_d
+        self._spaces = {}  # (n, d) -> rref of C_n within H_d
 
     def _locate(self, key):
         i = self._index.get(key.degree, {}).get(key)
         return (key.degree, i) if i is not None else None
 
     def _lay_out(self, deltas):
-        bidegrees = set()
         strays = {}
-        for t in deltas:
-            for (u, v), _ in t.items():
-                if self._locate(u) is not None and self._locate(v) is not None:
-                    bidegrees.add((u.degree, v.degree))
-                elif (u, v) not in strays:
-                    strays[(u, v)] = len(strays)
-        blocks = []
-        offsets = {}
-        total = 0
-        for d1, d2 in sorted(bidegrees):
-            width = len(self._bases[d1]) * len(self._bases[d2])
-            blocks.append((d1, d2, total, width))
-            offsets[(d1, d2)] = total
-            total += width
         rows = []
         for t in deltas:
-            vec = [Fraction(0)] * (total + len(strays))
+            blocks, stray = {}, {}
             for (u, v), c in t.items():
                 lu, lv = self._locate(u), self._locate(v)
                 if lu is not None and lv is not None:
-                    vec[offsets[(lu[0], lv[0])] + lu[1] * len(self._bases[lv[0]]) + lv[1]] += c
+                    blocks.setdefault((lu[0], lv[0]), {})[lu[1] * len(self._bases[lv[0]]) + lv[1]] = c
                 else:
-                    vec[total + strays[(u, v)]] += c
-            rows.append(vec)
-        return blocks, total, rows
+                    stray[strays.setdefault((u, v), len(strays))] = c
+            rows.append((blocks, stray))
+        return rows
 
     def _space(self, n, d):
-        """Echelon rows and pivots of ``C_n`` within ``H_d``."""
+        """Reduced echelon form of ``C_n`` within ``H_d``, as from ``rref``."""
         got = self._spaces.get((n, d))
         if got is None:
             got = self._spaces[(n, d)] = self._build(n, d)
@@ -554,30 +596,39 @@ class Filtration:
         dim = len(self._bases[d])
         if n > 1:
             below = self._space(n - 1, d)
-            if len(below[0]) == dim:
+            if len(below) == dim:
                 return below  # C_{n-1} lies in C_n, so C_n holds all of H_d
-        blocks, stray_start, rows = self._layout[d]
-        reduced = [[] for _ in rows]
-        for d1, d2, start, width in blocks:
-            ech, piv = self._tensor_span(n, d1, d2) if n > 1 else ([], [])
-            for out, row in zip(reduced, rows):
-                out.extend(reduce_mod_rows(row[start : start + width], ech, piv))
-        for out, row in zip(reduced, rows):
-            out.extend(row[stray_start:])
-        if not reduced or not reduced[0]:
-            kern = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
-        else:
-            kern = nullspace(transpose(reduced))
-        return echelon(kern) if kern else ([], [])
+        # the coproduct rows reduced modulo the tensor spans, transposed:
+        # one row per coordinate, indexed by the basis keys of H_d
+        columns = {}
+        spans = {}
+        for i, (blocks, stray) in enumerate(self._layout[d]):
+            for block, part in blocks.items():
+                if n > 1:
+                    span = spans.get(block)
+                    if span is None:
+                        span = spans[block] = self._tensor_span(n, *block)
+                    part = reduce_row(part, span)
+                for c, v in part.items():
+                    columns.setdefault((block, c), {})[i] = v
+            for c, v in stray.items():
+                columns.setdefault(c, {})[i] = v
+        return rref(sparse_nullspace(columns.values(), dim))
 
     def _tensor_span(self, n, d1, d2):
-        """Echelon form of ``sum_i C_i (x) C_{n-i}`` within ``H_d1 (x) H_d2``."""
-        span_rows = []
+        """Reduced echelon form of ``sum_i C_i (x) C_{n-i}`` within ``H_d1 (x) H_d2``."""
+        width = len(self._bases[d2])
+        rows = []
         for i in range(1, n):
-            left, _ = self._space(i, d1)
-            right, _ = self._space(n - i, d2)
-            span_rows.extend(_outer(lv, rv) for lv in left for rv in right)
-        return echelon(span_rows) if span_rows else ([], [])
+            right = self._space(n - i, d2).values()
+            for lv in self._space(i, d1).values():
+                rows.extend({a * width + b: x * y for a, x in lv.items() for b, y in rv.items()} for rv in right)
+        return rref(rows)
+
+    def space(self, n, d):
+        """Reduced echelon basis of ``C_n`` within ``H_d`` as Elements."""
+        keys = self._bases[d]
+        return [Element._trusted({keys[j]: c for j, c in row.items()}) for row in self._space(n, d).values()]
 
     def degree_of(self, x):
         """Least ``n <= max_degree`` with ``x`` in ``C_n``; ``math.inf`` if none."""
@@ -594,10 +645,11 @@ class Filtration:
         return math.inf
 
     def _contains(self, n, d, part):
-        ech, piv = self._space(n, d)
+        ech = self._space(n, d)
         if len(ech) == len(self._bases[d]):
             return True  # C_n holds all of H_d
-        return in_row_span(element_vector(part, self._index[d]), ech, piv)
+        index = self._index[d]
+        return not reduce_row({index[k]: c for k, c in part.items()}, ech)
 
 
 def filtration_degree(x, coproduct, basis=None):
@@ -617,10 +669,3 @@ def filtration_degree(x, coproduct, basis=None):
             return tree_core.enumerate_trees(letters, d)
 
     return Filtration(coproduct, basis, x.max_degree()).degree_of(x)
-
-
-def _outer(u, v):
-    out = []
-    for a in u:
-        out.extend(a * b for b in v)
-    return out

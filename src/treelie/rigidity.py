@@ -28,14 +28,14 @@ from treelie.freemod import (
     Filtration,
     TensorElement,
     accumulate,
-    echelon,
     element_vector,
     expand_slot,
     invert_matrix,
-    nullspace,
     parse_rational,
     rank_of_family,
     render_rational,
+    rref,
+    sparse_nullspace,
     swap_slots,
     tensor,
 )
@@ -327,6 +327,8 @@ def validate(alg, max_degree, limit=5):
     the compatibility law and connectedness on all basis data up to
     ``max_degree``.  Connectedness asks one ``Filtration`` for every basis
     element: its filtration degree must be finite and at most its degree.
+    The Filtration is kept in ``alg.cache("filtration")`` under
+    ``max_degree``, where ``primitives_basis`` finds it.
     Returns a list of failure descriptions (empty = valid).
     """
     failures = []
@@ -394,7 +396,7 @@ def validate(alg, max_degree, limit=5):
     # connectedness: finite filtration degree for every basis element.  With
     # the grading checked and every degree >= 1, induction on the degree
     # gives H_d inside C_d, so the filtration degree is at most the degree.
-    filtration = Filtration(alg.coproduct_basis, alg.basis, max_degree)
+    filtration = alg.cache("filtration")[max_degree] = Filtration(alg.coproduct_basis, alg.basis, max_degree)
     for a in basis_upto:
         n = filtration.degree_of(Element.of(a))
         if n is math.inf:
@@ -510,19 +512,31 @@ def mu_image_witness(x, alg):
 
 
 def primitives_basis(alg, degree):
-    """Echelonized basis of the image of e on the degree-``degree`` piece."""
-    basis = alg.basis(degree)
-    if not basis:
+    """Reduced echelon basis of the primitives ``ker Delta`` in degree
+    ``degree``: the space ``C_1`` of a Filtration covering the degree, taken
+    from ``alg.cache("filtration")`` (where ``validate`` leaves one) or built
+    and kept there.  On an algebra that passes ``validate`` this is also the
+    image of the projector e (see ``projector_image``)."""
+    if not alg.basis(degree):
         return []
+    cache = alg.cache("filtration")
+    filtration = next((f for top, f in cache.items() if top >= degree), None)
+    if filtration is None:
+        filtration = cache[degree] = Filtration(alg.coproduct_basis, alg.basis, degree)
+    return filtration.space(1, degree)
+
+
+def projector_image(alg, degree):
+    """Reduced echelon basis of the image of e on the degree-``degree`` piece."""
+    basis = alg.basis(degree)
     index = {k: i for i, k in enumerate(basis)}
     rows = []
     for b in basis:
         img = idempotent_e(Element.of(b), alg)
         if not img.is_homogeneous(degree):
             raise ValueError("projector broke the grading at %s" % b)
-        rows.append(element_vector(img, index))
-    ech, _ = echelon(rows)
-    return [Element({basis[j]: row[j] for j in range(len(basis))}) for row in ech]
+        rows.append({index[k]: c for k, c in img.items()})
+    return [Element._trusted({basis[j]: c for j, c in row.items()}) for row in rref(rows).values()]
 
 
 def decomposables_rank(alg, degree):
@@ -769,19 +783,16 @@ def reconstruct(alg, max_degree):
 
 
 def _kernel_witness(trees, images, degree, alg):
-    keys = set()
-    for x in images:
-        keys.update(x.support())
-    if not keys:
+    # one row per basis key, one column per tree: the first nullspace vector
+    # is a combination of trees whose images cancel
+    rows = {}
+    for j, x in enumerate(images):
+        for k, c in x.items():
+            rows.setdefault(k, {})[j] = c
+    if not rows:
         return "1 * %s" % trees[0] if trees else None
-    index = {k: i for i, k in enumerate(sorted(keys))}
-    rows = [element_vector(x, index) for x in images]
-    null = nullspace([list(col) for col in zip(*rows)])
+    null = sparse_nullspace(rows.values(), len(trees))
     if not null:
         return None
     combo = null[0]
-    parts = []
-    for c, t in zip(combo, trees):
-        if c:
-            parts.append("%s * %s" % (render_rational(c), t))
-    return " + ".join(parts)
+    return " + ".join("%s * %s" % (render_rational(combo[j]), t) for j, t in enumerate(trees) if j in combo)

@@ -1,25 +1,16 @@
 """Differential tests for ``freemod.Filtration`` against the per-element
-filtration computation it replaced, kept here as the oracle."""
+filtration computation it replaced, kept here as the oracle on the dense
+``Fraction`` row reduction of ``dense_linalg``."""
 
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from dense_linalg import echelon, in_row_span, nullspace, reduce_mod_rows, transpose
 
 from treelie import checks, cli, rigidity, tree_core
-from treelie.freemod import (
-    Element,
-    Filtration,
-    TensorElement,
-    echelon,
-    element_vector,
-    filtration_degree,
-    in_row_span,
-    nullspace,
-    reduce_mod_rows,
-    transpose,
-)
+from treelie.freemod import Element, Filtration, TensorElement, element_vector, filtration_degree
 from treelie.nap_coalgebra import coproduct_basis
 from treelie.tree_core import parse_tree
 
@@ -229,6 +220,17 @@ def test_validate_builds_one_filtration(monkeypatch):
     alg = rigidity.free_presentation(["a", "b"], 3)
     assert rigidity.validate(alg, 3) == []
     assert _CountingFiltration.built == 1
+
+
+def test_reconstruct_builds_one_filtration_and_never_runs_e(monkeypatch):
+    calls = []
+    monkeypatch.setattr(rigidity, "Filtration", _CountingFiltration)
+    monkeypatch.setattr(rigidity, "idempotent_e", lambda *args: calls.append(args))
+    _CountingFiltration.built = 0
+    alg = rigidity.change_of_basis(rigidity.free_presentation(["a", "b"], 3), 3)
+    assert rigidity.reconstruct(alg, 3).ok
+    assert _CountingFiltration.built == 1
+    assert calls == []
 
 
 def test_validate_reports_infinite_and_too_high_filtration_degree(monkeypatch):

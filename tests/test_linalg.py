@@ -1,0 +1,165 @@
+"""Differential tests: the dense functions of ``freemod``, now conversions
+over its sparse elimination kernel, and the kernel's callers against the
+dense ``Fraction`` row reduction they replaced (``dense_linalg``)."""
+
+from fractions import Fraction
+
+import dense_linalg as dense
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from treelie.freemod import (
+    Element,
+    echelon,
+    element_vector,
+    in_row_span,
+    invert_matrix,
+    matrix_rank,
+    nullspace,
+    rank_of_family,
+    reduce_mod_rows,
+    render_rational,
+    rref,
+    sparse_nullspace,
+)
+from treelie.rigidity import _kernel_witness
+from treelie.tree_core import enumerate_trees
+
+# mostly zeros, as in the filtration and coproduct matrices
+ints = st.one_of(st.just(0), st.just(0), st.integers(-3, 3))
+fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+entries = st.one_of(ints, fractions)
+
+
+@st.composite
+def matrices(draw, shape=None):
+    """Int/Fraction matrices of any shape (empty, wide, tall), some rows
+    zero or repeated as they are or scaled."""
+    nrows, ncols = shape or (draw(st.integers(0, 6)), draw(st.integers(0, 7)))
+    rows = [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    for i in range(nrows):
+        kind = draw(st.sampled_from(["keep", "keep", "zero", "copy"]))
+        if kind == "zero":
+            rows[i] = [0] * ncols
+        elif kind == "copy" and i > 0:
+            f = draw(st.sampled_from([1, -1, 2, Fraction(1, 3)]))
+            rows[i] = [f * v for v in rows[draw(st.integers(0, i - 1))]]
+    return rows
+
+
+@st.composite
+def singular_squares(draw):
+    n = draw(st.integers(1, 5))
+    rows = draw(matrices((n - 1, n))) if n > 1 else []
+    # the last row is a combination of the others (zero when n == 1)
+    coeffs = [draw(st.integers(-2, 2)) for _ in rows]
+    rows.append([sum((c * r[j] for c, r in zip(coeffs, rows)), 0) for j in range(n)])
+    return rows
+
+
+def _all_fractions(rows):
+    return all(isinstance(v, Fraction) for row in rows for v in row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_echelon_rank_nullspace_match_dense(rows):
+    got = echelon(rows)
+    assert got == dense.echelon(rows)
+    assert _all_fractions(got[0])
+    assert matrix_rank(rows) == dense.matrix_rank(rows)
+    null = nullspace(rows)
+    assert null == dense.nullspace(rows)
+    assert _all_fractions(null)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_reduce_mod_rows_and_span_match_dense(data):
+    rows = data.draw(matrices())
+    ncols = len(rows[0]) if rows else data.draw(st.integers(0, 7))
+    ech, pivots = dense.echelon(rows)
+    vec = data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
+    got = reduce_mod_rows(vec, ech, pivots)
+    assert got == dense.reduce_mod_rows(vec, ech, pivots)
+    assert _all_fractions([got])
+    assert in_row_span(vec, ech, pivots) == dense.in_row_span(vec, ech, pivots)
+    # a combination of the rows is always in their span
+    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+    combo = [sum((c * r[j] for c, r in zip(coeffs, rows)), 0) for j in range(ncols)]
+    assert in_row_span(combo, ech, pivots) and dense.in_row_span(combo, ech, pivots)
+    assert reduce_mod_rows(combo, ech, pivots) == [0] * ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(0, 5).flatmap(lambda n: matrices((n, n))), singular_squares()))
+def test_invert_matrix_matches_dense(rows):
+    try:
+        expected = dense.invert_matrix(rows)
+    except ValueError:
+        with pytest.raises(ValueError):
+            invert_matrix(rows)
+        return
+    got = invert_matrix(rows)
+    assert got == expected
+    assert _all_fractions(got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_sparse_kernel_shapes(rows):
+    ncols = len(rows[0]) if rows else 0
+    sparse = [{c: v for c, v in enumerate(r) if v} for r in rows]
+    before = [dict(r) for r in sparse]
+    ech = rref(sparse)
+    assert sparse == before  # the input is not changed
+    assert list(ech) == sorted(ech)
+    for p, row in ech.items():
+        assert 0 not in row.values()
+        assert min(row) == p and row[p] == 1
+        assert all(q == p or q not in row for q in ech)
+    for vec in sparse_nullspace(sparse, ncols):
+        assert 0 not in vec.values()
+        for r in sparse:
+            assert sum(v * vec.get(c, 0) for c, v in r.items()) == 0
+
+
+def test_rank_of_family_matches_dense():
+    trees = enumerate_trees(["a", "b"], 3)
+    index = {t: i for i, t in enumerate(trees)}
+    family = [
+        Element.of(trees[0]) + Element.of(trees[1], Fraction(1, 2)),
+        Element.of(trees[2], 3) - Element.of(trees[0]),
+        Element.of(trees[1], -2) + Element.of(trees[2], 3),
+        Element.of(trees[3]),
+        Element.of(trees[3], Fraction(-5, 7)),
+    ]
+    for k in range(len(family) + 1):
+        rows = [element_vector(x, index) for x in family[:k]]
+        assert rank_of_family(family[:k], 3) == dense.matrix_rank(rows)
+
+
+
+def oracle_kernel_witness(trees, images):
+    """``rigidity._kernel_witness`` on the dense row reduction."""
+    keys = set()
+    for x in images:
+        keys.update(x.support())
+    if not keys:
+        return "1 * %s" % trees[0] if trees else None
+    index = {k: i for i, k in enumerate(sorted(keys))}
+    rows = [element_vector(x, index) for x in images]
+    null = dense.nullspace(dense.transpose(rows))
+    if not null:
+        return None
+    return " + ".join("%s * %s" % (render_rational(c), t) for c, t in zip(null[0], trees) if c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(entries, min_size=4, max_size=4), max_size=6))
+def test_kernel_witness_matches_dense(coeffs):
+    keys = enumerate_trees(["a", "b"], 3)[:4]
+    images = [Element(dict(zip(keys, row))) for row in coeffs]
+    trees = ["t%d" % i for i in range(len(images))]
+    assert _kernel_witness(trees, images, 3, None) == oracle_kernel_witness(trees, images)
