@@ -1,8 +1,8 @@
-"""Benchmark the compiled tree kernel against the pure-Python fallback.
+"""Benchmark the tree kernel.
 
 Times the three hot workloads (canonical construction, grafting-product
-expansion, iterated coproduct splitting) on identical inputs through each
-backend's own API and prints a speedup table.
+expansion, iterated coproduct splitting) through ``treelie.kernel`` and
+prints the best time of each.
 
 Usage: python benchmarks/bench_kernel.py [--degree N] [--repeat R]
 """
@@ -10,16 +10,11 @@ Usage: python benchmarks/bench_kernel.py [--degree N] [--repeat R]
 import argparse
 import time
 
-from treelie import _kernel_py
-
-try:
-    from treelie import _kernel_c
-except ImportError:
-    _kernel_c = None
+from treelie import kernel
 
 
-def build_levels(kernel, letters, max_degree):
-    """All canonical trees per degree, built through the backend under test."""
+def build_levels(letters, max_degree):
+    """All canonical trees per degree, built through the kernel's own API."""
     levels = {1: [kernel.leaf(a) for a in sorted(letters)]}
     for n in range(2, max_degree + 1):
         seen = set()
@@ -32,13 +27,13 @@ def build_levels(kernel, letters, max_degree):
     return levels
 
 
-def workload_construction(kernel, max_degree):
-    levels = build_levels(kernel, ["a", "b"], max_degree)
+def workload_construction(max_degree):
+    levels = build_levels(["a", "b"], max_degree)
     return sum(len(v) for v in levels.values())
 
 
-def workload_products(kernel, max_degree):
-    levels = build_levels(kernel, ["a"], max_degree)
+def workload_products(max_degree):
+    levels = build_levels(["a"], max_degree)
     flat = [t for level in levels.values() for t in level]
     acc = {}
     for s in flat:
@@ -50,8 +45,8 @@ def workload_products(kernel, max_degree):
     return len(acc)
 
 
-def workload_coproducts(kernel, max_degree, rounds=40):
-    levels = build_levels(kernel, ["a"], max_degree)
+def workload_coproducts(max_degree, rounds=40):
+    levels = build_levels(["a"], max_degree)
     flat = [t for level in levels.values() for t in level]
     total = 0
     for _ in range(rounds):
@@ -69,16 +64,16 @@ WORKLOADS = [
 ]
 
 
-def run(kernel, max_degree, repeat):
+def run(max_degree, repeat):
+    """Best wall time of each workload over ``repeat`` runs."""
     results = {}
     for name, fn in WORKLOADS:
         best = float("inf")
-        value = None
         for _ in range(repeat):
             t0 = time.perf_counter()
-            value = fn(kernel, max_degree)
+            fn(max_degree)
             best = min(best, time.perf_counter() - t0)
-        results[name] = (best, value)
+        results[name] = best
     return results
 
 
@@ -88,28 +83,12 @@ def main():
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
 
-    backends = [("python", _kernel_py)]
-    if _kernel_c is not None:
-        backends.append(("cython", _kernel_c))
-    else:
-        print("compiled kernel not available; timing the fallback only")
-
-    timings = {name: run(mod, args.degree, args.repeat) for name, mod in backends}
+    timings = run(args.degree, args.repeat)
 
     width = max(len(n) for n, _ in WORKLOADS)
-    header = "%-*s  %10s" % (width, "workload", "python")
-    if "cython" in timings:
-        header += "  %10s  %8s" % ("cython", "speedup")
-    print(header)
+    print("%-*s  %10s" % (width, "workload", "time"))
     for name, _ in WORKLOADS:
-        py_t, py_v = timings["python"][name]
-        line = "%-*s  %9.3fs" % (width, name, py_t)
-        if "cython" in timings:
-            cy_t, cy_v = timings["cython"][name]
-            if cy_v != py_v:
-                raise SystemExit("backends disagree on %r: %r vs %r" % (name, py_v, cy_v))
-            line += "  %9.3fs  %7.2fx" % (cy_t, py_t / cy_t if cy_t else float("inf"))
-        print(line)
+        print("%-*s  %9.3fs" % (width, name, timings[name]))
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ terms costs one pass and no intermediate copies.
 The module also houses the exact linear algebra needed elsewhere, one
 sparse elimination kernel (``rref`` over rows stored as ``{column: coeff}``
 dicts, with remainders and nullspaces built on it) under the dense
-list-of-lists ``echelon``/``nullspace``/rank functions, and ``Filtration``,
+list-of-lists ``echelon``/``nullspace``/``invert_matrix``, and ``Filtration``,
 the coalgebra filtration of a graded basis, built once and queried per
 element.
 """
@@ -478,25 +478,12 @@ def echelon(rows):
     return [_dense(r, ncols) for r in ech.values()], list(ech)
 
 
-def matrix_rank(rows):
-    return len(rref(_sparse(rows)))
-
-
 def nullspace(rows):
     """Basis of {x : rows . x = 0}, one vector per free column."""
     if not rows:
         return []
     ncols = len(rows[0])
     return [_dense(v, ncols) for v in sparse_nullspace(_sparse(rows), ncols)]
-
-
-def reduce_mod_rows(vec, ech, pivots):
-    """Remainder of ``vec`` after elimination against ``echelon`` rows."""
-    return _dense(reduce_row(_sparse([vec])[0], dict(zip(pivots, _sparse(ech)))), len(vec))
-
-
-def in_row_span(vec, ech, pivots):
-    return not reduce_row(_sparse([vec])[0], dict(zip(pivots, _sparse(ech))))
 
 
 def invert_matrix(rows):

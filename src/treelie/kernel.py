@@ -1,29 +1,160 @@
-"""Kernel backend selection.
+"""The tree kernel: canonical rooted trees and grafting surgery.
 
-The hot tree operations exist twice: a compiled Cython extension
-(``treelie._kernel_c``) and a pure-Python fallback (``treelie._kernel_py``).
-The compiled one is preferred when importable; set ``TREELIE_PURE_PYTHON=1``
-to force the fallback.  Both expose the same API and canonical forms.
+Every hot tree operation of the package (canonicalization, grafting,
+coproduct splitting) lives here, in pure Python.  ``BACKEND`` names the
+implementation for reports such as the benchmark's environment line.
 """
 
-import os
+BACKEND = "python"
 
-if os.environ.get("TREELIE_PURE_PYTHON") == "1":
-    from treelie import _kernel_py as _impl
-else:
-    try:
-        from treelie import _kernel_c as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from treelie import _kernel_py as _impl
+_INTERN = {}
 
-BACKEND = _impl.BACKEND
-Tree = _impl.Tree
-leaf = _impl.leaf
-node = _impl.node
-graft_at = _impl.graft_at
-root_graft = _impl.root_graft
-prelie_terms = _impl.prelie_terms
-prelie_counts = _impl.prelie_counts
-coproduct_terms = _impl.coproduct_terms
-coproduct_counts = _impl.coproduct_counts
-intern_size = _impl.intern_size
+
+class Tree:
+    """Canonical unordered rooted tree with string vertex labels.
+
+    Children are stored as a tuple sorted by canonical rendering, so the
+    rendering ``key`` is a complete isomorphism invariant: two trees are
+    equal iff their keys are equal.  Instances are interned by key and
+    immutable; build them with :func:`leaf` and :func:`node`, never by
+    calling ``Tree`` directly.
+    """
+
+    __slots__ = ("label", "children", "key", "degree", "_hash")
+
+    def __init__(self, label, children, key, degree):
+        self.label = label
+        self.children = children
+        self.key = key
+        self.degree = degree
+        self._hash = hash(key)
+
+    @property
+    def arity(self):
+        return len(self.children)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        return isinstance(other, Tree) and self.key == other.key
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    # Graded order (degree first) so sorted term listings read degree by degree.
+    def __lt__(self, other):
+        return (self.degree, self.key) < (other.degree, other.key)
+
+    def __le__(self, other):
+        return (self.degree, self.key) <= (other.degree, other.key)
+
+    def __gt__(self, other):
+        return (self.degree, self.key) > (other.degree, other.key)
+
+    def __ge__(self, other):
+        return (self.degree, self.key) >= (other.degree, other.key)
+
+    def __str__(self):
+        return self.key
+
+    def __repr__(self):
+        return "Tree(%r)" % self.key
+
+
+def leaf(label):
+    """The one-vertex tree with the given label."""
+    t = _INTERN.get(label)
+    if t is None:
+        t = Tree(label, (), label, 1)
+        _INTERN[label] = t
+    return t
+
+
+def node(label, children):
+    """Tree with root ``label`` and the given child subtrees (any order)."""
+    kids = sorted(children, key=_child_key)
+    if not kids:
+        return leaf(label)
+    key = label + "[" + ",".join([c.key for c in kids]) + "]"
+    t = _INTERN.get(key)
+    if t is None:
+        degree = 1
+        for c in kids:
+            degree += c.degree
+        t = Tree(label, tuple(kids), key, degree)
+        _INTERN[key] = t
+    return t
+
+
+def _child_key(t):
+    return t.key
+
+
+def graft_at(host, index, shoot):
+    """Attach ``shoot`` as a new child of the vertex at preorder position ``index``.
+
+    Positions follow the canonical preorder of the stored form, root = 0.
+    Raises IndexError when the position is out of range.
+    """
+    if index < 0 or index >= host.degree:
+        raise IndexError("vertex position %d out of range for degree %d" % (index, host.degree))
+    return _graft(host, index, shoot)
+
+
+def _graft(host, index, shoot):
+    if index == 0:
+        return node(host.label, host.children + (shoot,))
+    index -= 1
+    children = host.children
+    for i in range(len(children)):
+        c = children[i]
+        if index < c.degree:
+            return node(host.label, children[:i] + (_graft(c, index, shoot),) + children[i + 1 :])
+        index -= c.degree
+    raise IndexError("unreachable")
+
+
+def root_graft(host, shoot):
+    """Attach ``shoot`` as a new child of the root of ``host``."""
+    return node(host.label, host.children + (shoot,))
+
+
+def prelie_terms(host, shoot):
+    """Grafts of ``shoot`` onto every vertex of ``host`` (one per position)."""
+    return [_graft(host, i, shoot) for i in range(host.degree)]
+
+
+def prelie_counts(host, shoot):
+    """Multiset of grafts as a dict tree -> multiplicity."""
+    out = {}
+    for i in range(host.degree):
+        t = _graft(host, i, shoot)
+        out[t] = out.get(t, 0) + 1
+    return out
+
+
+def coproduct_terms(t):
+    """Pairs (t minus one root subtree, that subtree), one per child position."""
+    children = t.children
+    out = []
+    for i in range(len(children)):
+        rest = node(t.label, children[:i] + children[i + 1 :])
+        out.append((rest, children[i]))
+    return out
+
+
+def coproduct_counts(t):
+    """Same as :func:`coproduct_terms` but accumulated into a dict pair -> count."""
+    children = t.children
+    out = {}
+    for i in range(len(children)):
+        pair = (node(t.label, children[:i] + children[i + 1 :]), children[i])
+        out[pair] = out.get(pair, 0) + 1
+    return out
+
+
+def intern_size():
+    return len(_INTERN)

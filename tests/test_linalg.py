@@ -13,12 +13,9 @@ from treelie.freemod import (
     Element,
     echelon,
     element_vector,
-    in_row_span,
     invert_matrix,
-    matrix_rank,
     nullspace,
     rank_of_family,
-    reduce_mod_rows,
     render_rational,
     rref,
     sparse_nullspace,
@@ -68,28 +65,9 @@ def test_echelon_rank_nullspace_match_dense(rows):
     got = echelon(rows)
     assert got == dense.echelon(rows)
     assert _all_fractions(got[0])
-    assert matrix_rank(rows) == dense.matrix_rank(rows)
     null = nullspace(rows)
     assert null == dense.nullspace(rows)
     assert _all_fractions(null)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_reduce_mod_rows_and_span_match_dense(data):
-    rows = data.draw(matrices())
-    ncols = len(rows[0]) if rows else data.draw(st.integers(0, 7))
-    ech, pivots = dense.echelon(rows)
-    vec = data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
-    got = reduce_mod_rows(vec, ech, pivots)
-    assert got == dense.reduce_mod_rows(vec, ech, pivots)
-    assert _all_fractions([got])
-    assert in_row_span(vec, ech, pivots) == dense.in_row_span(vec, ech, pivots)
-    # a combination of the rows is always in their span
-    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
-    combo = [sum((c * r[j] for c, r in zip(coeffs, rows)), 0) for j in range(ncols)]
-    assert in_row_span(combo, ech, pivots) and dense.in_row_span(combo, ech, pivots)
-    assert reduce_mod_rows(combo, ech, pivots) == [0] * ncols
 
 
 @settings(max_examples=200, deadline=None)
