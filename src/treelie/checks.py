@@ -3,8 +3,11 @@
 Every identity the package implements is exposed here as an exhaustive
 check over bounded tree sets, with exact rational equality (no tolerances
 anywhere).  The CLI ``check`` command and the acceptance tests drive these
-functions; each returns a list of CheckResult carrying a counterexample
-rendering on failure.
+functions.  A check walks its cases through the one driver ``_run`` and
+returns one CheckResult, carrying the first counterexample's rendering on
+failure; a suite returns a list of them.  The pre-Lie, coalgebra and
+distributive relations are the predicates of ``treelie.rigidity`` that
+``validate`` also calls, here on the free tree algebra.
 """
 
 import itertools
@@ -20,7 +23,6 @@ from treelie.freemod import (
     accumulate,
     expand_slot,
     is_invariant_1k,
-    swap_slots,
     tensor,
 )
 from treelie.nap_coalgebra import (
@@ -38,13 +40,17 @@ from treelie.rigidity import (
     PresentedAlgebra,
     ak_apply,
     change_of_basis,
+    coalgebra_relation_holds,
     decomposables_rank,
+    degree_tuples,
+    distributive_law_holds,
     free_presentation,
     heap_coefficients,
     heap_coefficients_recursive,
     idempotent_e,
     mu_image_witness,
     mu_of_tensor,
+    prelie_holds,
     primitives_basis,
     projector_image,
     reconstruct,
@@ -66,9 +72,16 @@ class CheckResult:
         return "%s %s%s" % (status, self.name, (": " + self.detail) if self.detail else "")
 
 
-def _result(name, failures, count):
-    if failures:
-        return CheckResult(name, False, failures[0])
+def _run(name, outcomes):
+    """The one check driver: ``outcomes`` yields one item per case, ``None``
+    for a pass or the failure message.  The first failure ends the check
+    (``FAIL name: message``); otherwise the cases are counted
+    (``ok name: K cases``)."""
+    count = 0
+    for outcome in outcomes:
+        if outcome is not None:
+            return CheckResult(name, False, outcome)
+        count += 1
     return CheckResult(name, True, "%d cases" % count)
 
 
@@ -79,74 +92,51 @@ def _basis_upto(alphabet, max_degree):
     return out
 
 
-def _tuples_with_total(alphabet, slots, total):
-    """Ordered tuples of basis trees with degree sum <= total."""
-    basis = _basis_upto(alphabet, total - slots + 1)
-
-    def rec(prefix, remaining, budget):
-        if remaining == 0:
-            yield prefix
-            return
-        for t in basis:
-            if t.degree + (remaining - 1) > budget:
-                continue
-            yield from rec(prefix + (t,), remaining - 1, budget - t.degree)
-    yield from rec((), slots, total)
-
-
-def _of(t):
-    return Element.of(t)
-
-
 # ---------------------------------------------------------------------------
 # pre-Lie suite
 
 
 def check_prelie_relation(alphabet, total):
-    failures, count = [], 0
-    for x, y, z in _tuples_with_total(alphabet, 3, total):
-        ex, ey, ez = _of(x), _of(y), _of(z)
-        lhs = prelie_product(prelie_product(ex, ey), ez) - prelie_product(ex, prelie_product(ey, ez))
-        rhs = prelie_product(prelie_product(ex, ez), ey) - prelie_product(ex, prelie_product(ez, ey))
-        count += 1
-        if lhs != rhs:
-            failures.append("at (%s, %s, %s)" % (x, y, z))
-            break
-    return _result("pre-Lie relation over %s, total degree <= %d" % (list(alphabet), total), failures, count)
+    alg = FreeTreeAlgebra(alphabet)
+    cases = (
+        None if prelie_holds(alg, x, y, z) else "at (%s, %s, %s)" % (x, y, z)
+        for x, y, z in degree_tuples(alg, 3, total)
+    )
+    return _run("pre-Lie relation over %s, total degree <= %d" % (list(alphabet), total), cases)
 
 
 def check_trick_formula(alphabet, total):
     """Peeling the last root subtree: B(v,T1..Tn) = B(v,T1..Tn-1) o Tn
     - sum_i B(v,..,Ti o Tn,..)."""
-    failures, count = [], 0
-    for t in _basis_upto(alphabet, total):
-        if t.arity < 1:
-            continue
-        children = t.children
-        head = tree_core.node(t.label, children[:-1])
-        tail = children[-1]
-        rhs = dict(prelie_product(_of(head), _of(tail)).terms)
-        for i in range(len(children) - 1):
-            corr = prelie_product(_of(children[i]), _of(tail))
-            rest = children[i + 1 : -1]
-            peeled = ((tree_core.node(t.label, children[:i] + (s,) + rest), c) for s, c in corr.items())
-            accumulate(rhs, peeled, -1)
-        count += 1
-        if Element._trusted(rhs) != _of(t):
-            failures.append("at %s" % t)
-            break
-    return _result("root-subtree peeling formula, degree <= %d" % total, failures, count)
+
+    def cases():
+        for t in _basis_upto(alphabet, total):
+            if t.arity < 1:
+                continue
+            children = t.children
+            head = tree_core.node(t.label, children[:-1])
+            tail = children[-1]
+            rhs = dict(prelie_product(Element.of(head), Element.of(tail)).terms)
+            for i in range(len(children) - 1):
+                corr = prelie_product(Element.of(children[i]), Element.of(tail))
+                rest = children[i + 1 : -1]
+                peeled = ((tree_core.node(t.label, children[:i] + (s,) + rest), c) for s, c in corr.items())
+                accumulate(rhs, peeled, -1)
+            yield None if Element._trusted(rhs) == Element.of(t) else "at %s" % t
+
+    return _run("root-subtree peeling formula, degree <= %d" % total, cases())
 
 
 def check_freeness_dimensions(max_degree):
-    failures, count = [], 0
     expected = _rooted_tree_counts(max_degree)
-    for n in range(1, max_degree + 1):
-        count += 1
-        got = len(tree_core.enumerate_trees(ONE_LETTER, n))
-        if got != expected[n - 1]:
-            failures.append("degree %d: %d trees, recursion says %d" % (n, got, expected[n - 1]))
-    return _result("one-generator dimensions match the counting recursion", failures, count)
+
+    def cases():
+        for n in range(1, max_degree + 1):
+            got = len(tree_core.enumerate_trees(ONE_LETTER, n))
+            want = expected[n - 1]
+            yield None if got == want else "degree %d: %d trees, recursion says %d" % (n, got, want)
+
+    return _run("one-generator dimensions match the counting recursion", cases())
 
 
 def _rooted_tree_counts(n_max):
@@ -167,18 +157,17 @@ def check_module_axiom(seed, samples=25):
     small tensors."""
     rng = random.Random(seed)
     basis = _basis_upto(TWO_LETTERS, 2)
-    failures, count = [], 0
-    for _ in range(samples):
-        rank = rng.randint(1, 3)
-        m = TensorElement(rank, _random_terms(rng, basis, rank, -3))
-        l1, l2 = _of(rng.choice(basis)), _of(rng.choice(basis))
-        lhs = module_action(module_action(m, l1), l2) - module_action(module_action(m, l2), l1)
-        rhs = module_action(m, bracket(l1, l2))
-        count += 1
-        if lhs != rhs:
-            failures.append("m=%s l1=%s l2=%s" % (m, l1, l2))
-            break
-    return _result("tensor powers form a right module (seed %d)" % seed, failures, count)
+
+    def cases():
+        for _ in range(samples):
+            rank = rng.randint(1, 3)
+            m = TensorElement(rank, _random_terms(rng, basis, rank, -3))
+            l1, l2 = Element.of(rng.choice(basis)), Element.of(rng.choice(basis))
+            lhs = module_action(module_action(m, l1), l2) - module_action(module_action(m, l2), l1)
+            rhs = module_action(m, bracket(l1, l2))
+            yield None if lhs == rhs else "m=%s l1=%s l2=%s" % (m, l1, l2)
+
+    return _run("tensor powers form a right module (seed %d)" % seed, cases())
 
 
 def _random_terms(rng, basis, rank, low):
@@ -205,15 +194,14 @@ def suite_prelie(max_degree, seed):
 
 
 def check_nap_relation(alphabet, total):
-    failures, count = [], 0
-    for x, y, z in _tuples_with_total(alphabet, 3, total):
-        lhs = nap_product(nap_product(_of(x), _of(y)), _of(z))
-        rhs = nap_product(nap_product(_of(x), _of(z)), _of(y))
-        count += 1
-        if lhs != rhs:
-            failures.append("at (%s, %s, %s)" % (x, y, z))
-            break
-    return _result("permutative relation (xy)z = (xz)y over %s, total degree <= %d" % (list(alphabet), total), failures, count)
+    def cases():
+        for x, y, z in degree_tuples(FreeTreeAlgebra(alphabet), 3, total):
+            lhs = nap_product(nap_product(Element.of(x), Element.of(y)), Element.of(z))
+            rhs = nap_product(nap_product(Element.of(x), Element.of(z)), Element.of(y))
+            yield None if lhs == rhs else "at (%s, %s, %s)" % (x, y, z)
+
+    name = "permutative relation (xy)z = (xz)y over %s, total degree <= %d" % (list(alphabet), total)
+    return _run(name, cases())
 
 
 def suite_nap(max_degree, seed):
@@ -228,47 +216,42 @@ def suite_nap(max_degree, seed):
 
 
 def check_nap_coalgebra_relation(alphabet, max_degree):
-    failures, count = [], 0
-    for t in _basis_upto(alphabet, max_degree):
-        t3 = expand_slot(coproduct_basis(t), 0, coproduct_basis, 3)
-        count += 1
-        if swap_slots(t3, 1, 2) != t3:
-            failures.append("at %s" % t)
-            break
-    return _result("coalgebra relation (Id - swap23)(D (x) Id)D = 0, degree <= %d" % max_degree, failures, count)
+    alg = FreeTreeAlgebra(alphabet)
+    cases = (
+        None if coalgebra_relation_holds(alg, t) else "at %s" % t for t in _basis_upto(alphabet, max_degree)
+    )
+    return _run("coalgebra relation (Id - swap23)(D (x) Id)D = 0, degree <= %d" % max_degree, cases)
 
 
 def check_deltak_invariance(alphabet, max_degree, k_max):
-    failures, count = [], 0
-    for t in _basis_upto(alphabet, max_degree):
-        for k in range(1, min(k_max, t.degree - 1) + 1):
-            dk = delta_k(_of(t), k)
-            if dk.is_zero():
-                continue
-            count += 1
-            if not is_invariant_1k(dk):
-                failures.append("Delta^%d(%s)" % (k, t))
-                break
-    return _result("iterated coproducts land in the invariant subspace (degree <= %d, k <= %d)" % (max_degree, k_max), failures, count)
+    def cases():
+        for t in _basis_upto(alphabet, max_degree):
+            for k in range(1, min(k_max, t.degree - 1) + 1):
+                dk = delta_k(Element.of(t), k)
+                if not dk.is_zero():
+                    yield None if is_invariant_1k(dk) else "Delta^%d(%s)" % (k, t)
+
+    name = "iterated coproducts land in the invariant subspace (degree <= %d, k <= %d)" % (max_degree, k_max)
+    return _run(name, cases())
 
 
 def check_deltak_bracketings(alphabet, max_degree, k_max):
     """Both recursions for Delta^{k+1} agree: expanding the first slot of
     Delta^k matches applying Delta first and expanding its left leg."""
-    failures, count = [], 0
-    for t in _basis_upto(alphabet, max_degree):
-        for k in range(1, k_max + 1):
-            left = delta_k(_of(t), k + 1)
-            d1 = coproduct(_of(t))
-            via_right = {}
-            for (u, v), c in d1.items():
-                dku = delta_k(_of(u), k)
-                accumulate(via_right, ((keys + (v,), cu) for keys, cu in dku.items()), c)
-            count += 1
-            if left != TensorElement._trusted(k + 2, via_right):
-                failures.append("Delta^%d at %s" % (k + 1, t))
-                break
-    return _result("the two coproduct recursions agree (degree <= %d, k <= %d)" % (max_degree, k_max), failures, count)
+
+    def cases():
+        for t in _basis_upto(alphabet, max_degree):
+            for k in range(1, k_max + 1):
+                left = delta_k(Element.of(t), k + 1)
+                d1 = coproduct(Element.of(t))
+                via_right = {}
+                for (u, v), c in d1.items():
+                    dku = delta_k(Element.of(u), k)
+                    accumulate(via_right, ((keys + (v,), cu) for keys, cu in dku.items()), c)
+                ok = left == TensorElement._trusted(k + 2, via_right)
+                yield None if ok else "Delta^%d at %s" % (k + 1, t)
+
+    return _run("the two coproduct recursions agree (degree <= %d, k <= %d)" % (max_degree, k_max), cases())
 
 
 def _cooperation_patterns(n):
@@ -288,8 +271,8 @@ def _apply_cooperation(pattern, x):
     p1, p2 = pattern
     acc = {}
     for (u, v), c in coproduct(x).items():
-        t1 = _apply_cooperation(p1, _of(u))
-        t2 = _apply_cooperation(p2, _of(v))
+        t1 = _apply_cooperation(p1, Element.of(u))
+        t2 = _apply_cooperation(p2, Element.of(v))
         accumulate(acc, ((k1 + k2, c1 * c2) for k1, c1 in t1.items() for k2, c2 in t2.items()), c)
     return TensorElement._trusted(_pattern_rank(pattern), acc)
 
@@ -303,21 +286,18 @@ def _pattern_rank(pattern):
 def check_cooperation_vanishing(max_degree):
     """Elements of filtration degree n are killed by every n-fold cooperation
     built from the coproduct."""
-    failures, count = [], 0
     filtration = Filtration(coproduct_basis, lambda d: tree_core.enumerate_trees(ONE_LETTER, d), max_degree)
-    for t in _basis_upto(ONE_LETTER, max_degree):
-        n = filtration.degree_of(_of(t))
-        if n != t.degree:
-            failures.append("filtration degree of %s is %s, expected %d" % (t, n, t.degree))
-            break
-        for pattern in _cooperation_patterns(n):
-            count += 1
-            if not _apply_cooperation(pattern, _of(t)).is_zero():
-                failures.append("cooperation %r does not kill %s" % (pattern, t))
-                break
-        if failures:
-            break
-    return _result("cooperation vanishing on filtration degree <= %d" % max_degree, failures, count)
+
+    def cases():
+        for t in _basis_upto(ONE_LETTER, max_degree):
+            n = filtration.degree_of(Element.of(t))
+            if n != t.degree:
+                yield "filtration degree of %s is %s, expected %d" % (t, n, t.degree)
+            for pattern in _cooperation_patterns(n):
+                killed = _apply_cooperation(pattern, Element.of(t)).is_zero()
+                yield None if killed else "cooperation %r does not kill %s" % (pattern, t)
+
+    return _run("cooperation vanishing on filtration degree <= %d" % max_degree, cases())
 
 
 def check_cofreeness_pairing(alphabet, max_degree):
@@ -328,39 +308,37 @@ def check_cofreeness_pairing(alphabet, max_degree):
     |Aut A| |Aut B| <Delta(T), A (x) B> = |Aut T| <T, A . B>; the plain
     Kronecker form holds whenever all three automorphism groups are trivial.
     """
-    failures, count = [], 0
-    for t in _basis_upto(alphabet, max_degree):
-        d = coproduct(_of(t))
-        aut_t = tree_core.automorphism_count(t)
-        for da in range(1, t.degree):
-            for a in tree_core.enumerate_trees(alphabet, da):
-                aut_a = tree_core.automorphism_count(a)
-                for b in tree_core.enumerate_trees(alphabet, t.degree - da):
-                    aut_b = tree_core.automorphism_count(b)
-                    lhs = tensor_pairing(d, tensor(_of(a), _of(b)))
-                    rhs = kronecker_pairing(_of(t), nap_product(_of(a), _of(b)))
-                    count += 1
-                    if aut_a * aut_b * lhs != aut_t * rhs:
-                        failures.append("T=%s A=%s B=%s" % (t, a, b))
-                        break
-                    if aut_t == aut_a == aut_b == 1 and lhs != rhs:
-                        failures.append("plain pairing: T=%s A=%s B=%s" % (t, a, b))
-                        break
-    return _result("coproduct is the graded-dual transpose of the root graft (degree <= %d)" % max_degree, failures, count)
+
+    def cases():
+        for t in _basis_upto(alphabet, max_degree):
+            d = coproduct(Element.of(t))
+            aut_t = tree_core.automorphism_count(t)
+            for da in range(1, t.degree):
+                for a in tree_core.enumerate_trees(alphabet, da):
+                    aut_a = tree_core.automorphism_count(a)
+                    for b in tree_core.enumerate_trees(alphabet, t.degree - da):
+                        aut_b = tree_core.automorphism_count(b)
+                        lhs = tensor_pairing(d, tensor(Element.of(a), Element.of(b)))
+                        rhs = kronecker_pairing(Element.of(t), nap_product(Element.of(a), Element.of(b)))
+                        if aut_a * aut_b * lhs != aut_t * rhs:
+                            yield "T=%s A=%s B=%s" % (t, a, b)
+                        elif aut_t == aut_a == aut_b == 1 and lhs != rhs:
+                            yield "plain pairing: T=%s A=%s B=%s" % (t, a, b)
+                        else:
+                            yield None
+
+    name = "coproduct is the graded-dual transpose of the root graft (degree <= %d)" % max_degree
+    return _run(name, cases())
 
 
 def check_primitives(alphabet, max_degree):
-    failures, count = [], 0
-    for a in alphabet:
-        count += 1
-        if not is_primitive(_of(tree_core.leaf(a))):
-            failures.append("generator %s is not primitive" % a)
-    for t in _basis_upto(alphabet, max_degree):
-        count += 1
-        if is_primitive(_of(t)) != (t.degree == 1):
-            failures.append("primitivity of %s" % t)
-            break
-    return _result("primitives are exactly the single vertices (degree <= %d)" % max_degree, failures, count)
+    def cases():
+        for a in alphabet:
+            yield None if is_primitive(Element.of(tree_core.leaf(a))) else "generator %s is not primitive" % a
+        for t in _basis_upto(alphabet, max_degree):
+            yield None if is_primitive(Element.of(t)) == (t.degree == 1) else "primitivity of %s" % t
+
+    return _run("primitives are exactly the single vertices (degree <= %d)" % max_degree, cases())
 
 
 def suite_coalgebra(max_degree, seed):
@@ -381,28 +359,26 @@ def suite_coalgebra(max_degree, seed):
 
 
 def check_distributive_law(alphabet, total):
-    failures, count = [], 0
-    for x, y in _tuples_with_total(alphabet, 2, total):
-        lhs = coproduct(prelie_product(_of(x), _of(y)))
-        rhs = tensor(_of(x), _of(y)) + module_action(coproduct(_of(x)), _of(y))
-        count += 1
-        if lhs != rhs:
-            failures.append("at (%s, %s)" % (x, y))
-            break
-    return _result("D(x o y) = x (x) y + D(x) o y over %s, total degree <= %d" % (list(alphabet), total), failures, count)
+    alg = FreeTreeAlgebra(alphabet)
+    cases = (
+        None if distributive_law_holds(alg, x, y) else "at (%s, %s)" % (x, y)
+        for x, y in degree_tuples(alg, 2, total)
+    )
+    return _run("D(x o y) = x (x) y + D(x) o y over %s, total degree <= %d" % (list(alphabet), total), cases)
 
 
 def check_iterated_distributive_law(alphabet, total, k_max):
-    failures, count = [], 0
-    for x, y in _tuples_with_total(alphabet, 2, total):
-        for k in range(1, k_max + 1):
-            lhs = delta_k(prelie_product(_of(x), _of(y)), k)
-            rhs = module_action(delta_k(_of(x), k), _of(y)) + insert_y(_of(y), delta_k(_of(x), k - 1))
-            count += 1
-            if lhs != rhs:
-                failures.append("k=%d at (%s, %s)" % (k, x, y))
-                break
-    return _result("iterated law D^k(x o y) = D^k(x) o y + insert_y(D^{k-1}(x)), total degree <= %d, k <= %d" % (total, k_max), failures, count)
+    def cases():
+        for x, y in degree_tuples(FreeTreeAlgebra(alphabet), 2, total):
+            ex = Element.of(x)
+            ey = Element.of(y)
+            for k in range(1, k_max + 1):
+                lhs = delta_k(prelie_product(ex, ey), k)
+                rhs = module_action(delta_k(ex, k), ey) + insert_y(ey, delta_k(ex, k - 1))
+                yield None if lhs == rhs else "k=%d at (%s, %s)" % (k, x, y)
+
+    name = "iterated law D^k(x o y) = D^k(x) o y + insert_y(D^{k-1}(x)), total degree <= %d, k <= %d"
+    return _run(name % (total, k_max), cases())
 
 
 def suite_dlaw(max_degree, seed):
@@ -420,28 +396,25 @@ def suite_dlaw(max_degree, seed):
 
 def check_projector(alphabet, max_degree):
     alg = FreeTreeAlgebra(alphabet)
-    failures, count = [], 0
-    for t in _basis_upto(alphabet, max_degree):
-        e_t = idempotent_e(_of(t), alg)
-        count += 1
-        if not alg.coproduct(e_t).is_zero():
-            failures.append("D(e(%s)) != 0" % t)
-            break
-        if idempotent_e(e_t, alg) != e_t:
-            failures.append("e(e(%s)) != e(%s)" % (t, t))
-            break
-    return _result("e projects onto primitives over %s (degree <= %d)" % (list(alphabet), max_degree), failures, count)
+
+    def cases():
+        for t in _basis_upto(alphabet, max_degree):
+            e_t = idempotent_e(Element.of(t), alg)
+            if not alg.coproduct(e_t).is_zero():
+                yield "D(e(%s)) != 0" % t
+            yield None if idempotent_e(e_t, alg) == e_t else "e(e(%s)) != e(%s)" % (t, t)
+
+    return _run("e projects onto primitives over %s (degree <= %d)" % (list(alphabet), max_degree), cases())
 
 
 def check_annihilation(alphabet, total):
     alg = FreeTreeAlgebra(alphabet)
-    failures, count = [], 0
-    for x, y in _tuples_with_total(alphabet, 2, total):
-        count += 1
-        if not idempotent_e(prelie_product(_of(x), _of(y)), alg).is_zero():
-            failures.append("e(%s o %s) != 0" % (x, y))
-            break
-    return _result("e kills products over %s (total degree <= %d)" % (list(alphabet), total), failures, count)
+    cases = (
+        None if idempotent_e(prelie_product(Element.of(x), Element.of(y)), alg).is_zero()
+        else "e(%s o %s) != 0" % (x, y)
+        for x, y in degree_tuples(alg, 2, total)
+    )
+    return _run("e kills products over %s (total degree <= %d)" % (list(alphabet), total), cases)
 
 
 def check_decomposition(max_degree):
@@ -451,32 +424,26 @@ def check_decomposition(max_degree):
     constructive witness mu(w) = x - e(x)."""
     alg = FreeTreeAlgebra(ONE_LETTER)
     expected = _rooted_tree_counts(max_degree)
-    failures, count = [], 0
-    for n in range(1, max_degree + 1):
-        dim = len(alg.basis(n))
-        image = projector_image(alg, n)
-        prim = len(image)
-        dec = decomposables_rank(alg, n)
-        count += 1
-        if dim != expected[n - 1]:
-            failures.append("degree %d: dim %d != %d" % (n, dim, expected[n - 1]))
-            break
-        if image != primitives_basis(alg, n):
-            failures.append("degree %d: image of e differs from ker(Delta)" % n)
-            break
-        if prim != (1 if n == 1 else 0):
-            failures.append("degree %d: primitive dim %d" % (n, prim))
-            break
-        if prim + dec != dim:
-            failures.append("degree %d: %d + %d != %d" % (n, prim, dec, dim))
-            break
-    for t in _basis_upto(ONE_LETTER, min(max_degree, 5)):
-        w = mu_image_witness(_of(t), alg)
-        count += 1
-        if mu_of_tensor(w, alg) != _of(t) - idempotent_e(_of(t), alg):
-            failures.append("witness fails at %s" % t)
-            break
-    return _result("primitive/decomposable splitting up to degree %d" % max_degree, failures, count)
+
+    def cases():
+        for n in range(1, max_degree + 1):
+            dim = len(alg.basis(n))
+            image = projector_image(alg, n)
+            prim = len(image)
+            dec = decomposables_rank(alg, n)
+            if dim != expected[n - 1]:
+                yield "degree %d: dim %d != %d" % (n, dim, expected[n - 1])
+            if image != primitives_basis(alg, n):
+                yield "degree %d: image of e differs from ker(Delta)" % n
+            if prim != (1 if n == 1 else 0):
+                yield "degree %d: primitive dim %d" % (n, prim)
+            yield None if prim + dec == dim else "degree %d: %d + %d != %d" % (n, prim, dec, dim)
+        for t in _basis_upto(ONE_LETTER, min(max_degree, 5)):
+            w = mu_image_witness(Element.of(t), alg)
+            ok = mu_of_tensor(w, alg) == Element.of(t) - idempotent_e(Element.of(t), alg)
+            yield None if ok else "witness fails at %s" % t
+
+    return _run("primitive/decomposable splitting up to degree %d" % max_degree, cases())
 
 
 def suite_fundamental(max_degree, seed):
@@ -497,43 +464,41 @@ def check_delta_ak(max_degree, k_max):
     """D A_{k+1} = k U_{k+1} + U_{k+2}(D (x) Id^k) on iterated coproducts,
     whose membership in the invariant domain is asserted alongside."""
     alg = FreeTreeAlgebra(ONE_LETTER)
-    failures, count = [], 0
-    for t in _basis_upto(ONE_LETTER, max_degree):
-        for k in range(1, k_max + 1):
-            x = delta_k(_of(t), k)
-            if x.is_zero():
-                continue
-            expanded = expand_slot(x, 0, coproduct_basis, k + 2)
-            if not is_invariant_1k(x) or (
-                not expanded.is_zero() and not is_invariant_1k(expanded)
-            ):
-                failures.append("domain membership fails for Delta^%d(%s)" % (k, t))
-                break
-            lhs = alg.coproduct(ak_apply(k + 1, x, alg))
-            rhs = k * uk_apply(x, alg) + uk_apply(expanded, alg)
-            count += 1
-            if lhs != rhs:
-                failures.append("k=%d at %s" % (k, t))
-                break
-    return _result("coproduct of A_{k+1} splits through the U operators (degree <= %d, k <= %d)" % (max_degree, k_max), failures, count)
+
+    def cases():
+        for t in _basis_upto(ONE_LETTER, max_degree):
+            for k in range(1, k_max + 1):
+                x = delta_k(Element.of(t), k)
+                if x.is_zero():
+                    continue
+                expanded = expand_slot(x, 0, coproduct_basis, k + 2)
+                if not is_invariant_1k(x) or (
+                    not expanded.is_zero() and not is_invariant_1k(expanded)
+                ):
+                    yield "domain membership fails for Delta^%d(%s)" % (k, t)
+                lhs = alg.coproduct(ak_apply(k + 1, x, alg))
+                rhs = k * uk_apply(x, alg) + uk_apply(expanded, alg)
+                yield None if lhs == rhs else "k=%d at %s" % (k, t)
+
+    name = "coproduct of A_{k+1} splits through the U operators (degree <= %d, k <= %d)"
+    return _run(name % (max_degree, k_max), cases())
 
 
 def check_derivation_ak(max_degree, k_max):
     """(k+1) A_{k+1}(x o y) = A_{k+2}(insert_y(x)) for invariant x = Delta^k(T)."""
     alg = FreeTreeAlgebra(ONE_LETTER)
-    failures, count = [], 0
-    for t, y in _tuples_with_total(ONE_LETTER, 2, max_degree):
-        for k in range(0, k_max + 1):
-            x = delta_k(_of(t), k)
-            if x.is_zero():
-                continue
-            lhs = (k + 1) * ak_apply(k + 1, module_action(x, _of(y)), alg)
-            rhs = ak_apply(k + 2, insert_y(_of(y), x), alg)
-            count += 1
-            if lhs != rhs:
-                failures.append("k=%d T=%s y=%s" % (k, t, y))
-                break
-    return _result("action/insertion exchange for A_k (total degree <= %d, k <= %d)" % (max_degree, k_max), failures, count)
+
+    def cases():
+        for t, y in degree_tuples(alg, 2, max_degree):
+            for k in range(0, k_max + 1):
+                x = delta_k(Element.of(t), k)
+                if not x.is_zero():
+                    lhs = (k + 1) * ak_apply(k + 1, module_action(x, Element.of(y)), alg)
+                    rhs = ak_apply(k + 2, insert_y(Element.of(y), x), alg)
+                    yield None if lhs == rhs else "k=%d T=%s y=%s" % (k, t, y)
+
+    name = "action/insertion exchange for A_k (total degree <= %d, k <= %d)" % (max_degree, k_max)
+    return _run(name, cases())
 
 
 def _symmetrize_tail(keys):
@@ -547,29 +512,30 @@ def check_petit_dernier(max_total, k_max):
     """sum_l binom(k, l-1) A_l(x_1..x_l) o A_{k+2-l}(y (x) x_{l+1}..x_{k+1})
     = A_{k+1}(x o y) on explicitly symmetrized tensors."""
     alg = FreeTreeAlgebra(ONE_LETTER)
-    failures, count = [], 0
-    for k in range(0, k_max + 1):
-        rank = k + 1
-        for keys_and_y in _tuples_with_total(ONE_LETTER, rank + 1, max_total):
-            keys, y = keys_and_y[:rank], keys_and_y[rank]
-            if list(keys[1:]) != sorted(keys[1:]):
-                continue  # one representative per symmetrized class
-            x = _symmetrize_tail(keys)
-            ey = _of(y)
-            lhs = {}
-            for tup, c in x.items():
-                for l in range(1, k + 2):
-                    left = ak_apply(l, TensorElement.of(tup[:l]), alg)
-                    right = ak_apply(
-                        k + 2 - l, TensorElement.of((y,) + tup[l:]), alg
-                    )
-                    accumulate(lhs, prelie_product(left, right).items(), c * math.comb(k, l - 1))
-            rhs = ak_apply(k + 1, module_action(x, ey), alg)
-            count += 1
-            if Element._trusted(lhs) != rhs:
-                failures.append("k=%d keys=%s y=%s" % (k, [str(t) for t in keys], y))
-                break
-    return _result("split product expansion on symmetrized tensors (total degree <= %d, k <= %d)" % (max_total, k_max), failures, count)
+
+    def cases():
+        for k in range(0, k_max + 1):
+            rank = k + 1
+            for keys_and_y in degree_tuples(alg, rank + 1, max_total):
+                keys, y = keys_and_y[:rank], keys_and_y[rank]
+                if list(keys[1:]) != sorted(keys[1:]):
+                    continue  # one representative per symmetrized class
+                x = _symmetrize_tail(keys)
+                ey = Element.of(y)
+                lhs = {}
+                for tup, c in x.items():
+                    for l in range(1, k + 2):
+                        left = ak_apply(l, TensorElement.of(tup[:l]), alg)
+                        right = ak_apply(
+                            k + 2 - l, TensorElement.of((y,) + tup[l:]), alg
+                        )
+                        accumulate(lhs, prelie_product(left, right).items(), c * math.comb(k, l - 1))
+                rhs = ak_apply(k + 1, module_action(x, ey), alg)
+                ok = Element._trusted(lhs) == rhs
+                yield None if ok else "k=%d keys=%s y=%s" % (k, [str(t) for t in keys], y)
+
+    name = "split product expansion on symmetrized tensors (total degree <= %d, k <= %d)"
+    return _run(name % (max_total, k_max), cases())
 
 
 def check_mu_uk(seed, samples=20):
@@ -577,14 +543,13 @@ def check_mu_uk(seed, samples=20):
     alg = FreeTreeAlgebra(TWO_LETTERS)
     rng = random.Random(seed)
     basis = _basis_upto(TWO_LETTERS, 2)
-    failures, count = [], 0
-    for _ in range(samples):
-        x = TensorElement(3, _random_terms(rng, basis, 3, -2))
-        count += 1
-        if mu_of_tensor(uk_apply(x, alg), alg) != ak_apply(3, x, alg):
-            failures.append("x=%s" % x)
-            break
-    return _result("the product of U_3 recovers A_3 (seed %d)" % seed, failures, count)
+
+    def cases():
+        for _ in range(samples):
+            x = TensorElement(3, _random_terms(rng, basis, 3, -2))
+            yield None if mu_of_tensor(uk_apply(x, alg), alg) == ak_apply(3, x, alg) else "x=%s" % x
+
+    return _run("the product of U_3 recovers A_3 (seed %d)" % seed, cases())
 
 
 def suite_section4(max_degree, seed):
@@ -601,38 +566,35 @@ def suite_section4(max_degree, seed):
 
 
 def check_heap_counts(k_max, n_max):
-    failures, count = [], 0
-    for k in range(1, k_max + 1):
-        count += 1
-        if len(tree_core.enumerate_heap_ordered(k)) != math.factorial(k - 1):
-            failures.append("|HO(%d)| != %d" % (k, math.factorial(k - 1)))
-    for n in range(1, n_max + 1):
-        count += 1
-        if len(tree_core.enumerate_labeled(n)) != n ** (n - 1):
-            failures.append("|RT(%d)| != %d" % (n, n ** (n - 1)))
-    return _result("heap-ordered and labeled tree counts (k <= %d, n <= %d)" % (k_max, n_max), failures, count)
+    def cases():
+        for k in range(1, k_max + 1):
+            ok = len(tree_core.enumerate_heap_ordered(k)) == math.factorial(k - 1)
+            yield None if ok else "|HO(%d)| != %d" % (k, math.factorial(k - 1))
+        for n in range(1, n_max + 1):
+            ok = len(tree_core.enumerate_labeled(n)) == n ** (n - 1)
+            yield None if ok else "|RT(%d)| != %d" % (n, n ** (n - 1))
+
+    return _run("heap-ordered and labeled tree counts (k <= %d, n <= %d)" % (k_max, n_max), cases())
 
 
 def check_heap_expansion(k_max):
     """The heap-ordered expansion of A_k: support inside HO(k), evaluation
     reproduces A_k on ordered generators, and the inductive rule agrees."""
-    failures, count = [], 0
-    for k in range(1, k_max + 1):
-        hc = heap_coefficients(k)
-        count += 1
-        if any(not u.is_heap_ordered() for u in hc.coeffs):
-            failures.append("support of the A_%d expansion leaves HO(%d)" % (k, k))
-            break
-        letters = ["x%d" % i for i in range(1, k + 1)]
-        alg = FreeTreeAlgebra(letters)
-        direct = ak_apply(k, TensorElement.of(tuple(tree_core.leaf(a) for a in letters)), alg)
-        if hc.evaluate(letters) != direct:
-            failures.append("evaluating the expansion differs from A_%d" % k)
-            break
-        if heap_coefficients_recursive(k).coeffs != hc.coeffs:
-            failures.append("inductive coefficients differ at k=%d" % k)
-            break
-    return _result("heap-ordered expansion of A_k (k <= %d)" % k_max, failures, count)
+
+    def cases():
+        for k in range(1, k_max + 1):
+            hc = heap_coefficients(k)
+            if any(not u.is_heap_ordered() for u in hc.coeffs):
+                yield "support of the A_%d expansion leaves HO(%d)" % (k, k)
+            letters = ["x%d" % i for i in range(1, k + 1)]
+            alg = FreeTreeAlgebra(letters)
+            direct = ak_apply(k, TensorElement.of(tuple(tree_core.leaf(a) for a in letters)), alg)
+            if hc.evaluate(letters) != direct:
+                yield "evaluating the expansion differs from A_%d" % k
+            ok = heap_coefficients_recursive(k).coeffs == hc.coeffs
+            yield None if ok else "inductive coefficients differ at k=%d" % k
+
+    return _run("heap-ordered expansion of A_k (k <= %d)" % k_max, cases())
 
 
 def check_operads(seed, spot_samples=15):
@@ -644,18 +606,18 @@ def check_operads(seed, spot_samples=15):
     # arity-4 spot checks: sequential associativity on sampled triples
     rng = random.Random(seed)
     four = tree_core.enumerate_labeled(4)
-    failures, count = [], 0
-    for compose in (operads.nap_compose, operads.pl_compose):
-        for _ in range(spot_samples):
-            t, s, r = rng.choice(four), rng.choice(four), rng.choice(four)
-            i, j = rng.randint(1, 4), rng.randint(1, 4)
-            lhs = operads.compose_elements(compose, operads.compose_elements(compose, t, i, s), i - 1 + j, r)
-            rhs = operads.compose_elements(compose, t, i, operads.compose_elements(compose, s, j, r))
-            count += 1
-            if lhs != rhs:
-                failures.append("arity-4 associativity at %s o_%d %s o_%d %s" % (t, i, s, j, r))
-                break
-    results.append(_result("arity-4 associativity spot checks (seed %d)" % seed, failures, count))
+
+    def cases():
+        for compose in (operads.nap_compose, operads.pl_compose):
+            for _ in range(spot_samples):
+                t, s, r = rng.choice(four), rng.choice(four), rng.choice(four)
+                i, j = rng.randint(1, 4), rng.randint(1, 4)
+                ts = operads.compose_elements(compose, t, i, s)
+                lhs = operads.compose_elements(compose, ts, i - 1 + j, r)
+                rhs = operads.compose_elements(compose, t, i, operads.compose_elements(compose, s, j, r))
+                yield None if lhs == rhs else "arity-4 associativity at %s o_%d %s o_%d %s" % (t, i, s, j, r)
+
+    results.append(_run("arity-4 associativity spot checks (seed %d)" % seed, cases()))
     corrupted = operads.check_operad_axioms(operads.corrupted_compose, 2)
     results.append(CheckResult("corrupted composition is rejected", not corrupted.ok,
                                "" if not corrupted.ok else "negative control passed the axioms"))
@@ -682,20 +644,14 @@ def suite_operads(max_degree, seed):
 def check_reconstruction(max_degree, seed):
     results = []
     alg = free_presentation(ONE_LETTER, max_degree)
-    rep = reconstruct(alg, max_degree)
     expected = _rooted_tree_counts(max_degree)
-    results.append(CheckResult(
-        "self-reconstruction of the one-generator tree algebra",
-        rep.ok and rep.dims() == expected,
-        "dims %s" % ",".join(str(d) for d in rep.dims()) if rep.ok else rep.summary().splitlines()[0],
-    ))
-    twisted = change_of_basis(alg, seed)
-    rep2 = reconstruct(twisted, max_degree)
-    results.append(CheckResult(
-        "reconstruction after a seeded change of basis (seed %d)" % seed,
-        rep2.ok and rep2.dims() == expected,
-        "dims %s" % ",".join(str(d) for d in rep2.dims()) if rep2.ok else rep2.summary().splitlines()[0],
-    ))
+    for name, presented in (
+        ("self-reconstruction of the one-generator tree algebra", alg),
+        ("reconstruction after a seeded change of basis (seed %d)" % seed, change_of_basis(alg, seed)),
+    ):
+        rep = reconstruct(presented, max_degree)
+        detail = "dims %s" % ",".join(str(d) for d in rep.dims()) if rep.ok else rep.summary().splitlines()[0]
+        results.append(CheckResult(name, rep.ok and rep.dims() == expected, detail))
     doc = alg.to_json()
     doc["coproduct"]["a[a]"] = [["2", "a", "a"]]
     bad = PresentedAlgebra.from_json(doc)

@@ -24,6 +24,11 @@ EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_IO = 4
 
+# Largest sizes accepted, checked before any work: one step further runs for
+# minutes or exhausts memory (``enumerate heap 11`` lists 10! trees).
+MAX_CHECK_DEGREE = 8
+MAX_HEAP = 10
+
 
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -105,6 +110,10 @@ def cmd_e(args):
 def cmd_check(args, parser):
     if args.max_degree < 1:
         parser.error("max_degree must be >= 1")
+    if args.max_degree > MAX_CHECK_DEGREE:
+        message = "max_degree %d exceeds the check limit %d" % (args.max_degree, MAX_CHECK_DEGREE)
+        print(message, file=sys.stderr)
+        return EXIT_USAGE
     results = checks.run_suite(args.suite, args.max_degree, args.seed)
     for r in results:
         print(r.line())
@@ -159,6 +168,9 @@ def cmd_enumerate(args, parser):
             n = int(args.params[0])
         except ValueError:
             parser.error("N must be an integer")
+        if args.kind == "heap" and n > MAX_HEAP:
+            print("N %d exceeds the enumerate heap limit %d" % (n, MAX_HEAP), file=sys.stderr)
+            return EXIT_USAGE
         enum = (
             tree_core.enumerate_labeled if args.kind == "labeled" else tree_core.enumerate_heap_ordered
         )

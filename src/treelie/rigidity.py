@@ -76,6 +76,46 @@ class Algebra:
         return TensorElement._trusted(2, acc)
 
 
+def degree_tuples(alg, slots, total):
+    """Ordered ``slots``-tuples of basis keys of ``alg`` with degree sum at most
+    ``total``, in lexicographic order of the degree-sorted basis.  Every degree
+    is at least 1, so each slot reads ``alg.basis(d)`` bucket by bucket and
+    stops at the first bucket that leaves no degree for the slots after it."""
+    buckets = [alg.basis(d) for d in range(1, total - slots + 2)]
+
+    def walk(remaining, budget):
+        if remaining == 0:
+            yield ()
+            return
+        for d in range(1, budget - remaining + 2):
+            for a in buckets[d - 1]:
+                for rest in walk(remaining - 1, budget - d):
+                    yield (a,) + rest
+
+    return walk(slots, total)
+
+
+def prelie_holds(alg, a, b, c):
+    """Pre-Lie relation: the associator (a o b) o c - a o (b o c) is symmetric in b and c."""
+    ea, eb, ec = Element.of(a), Element.of(b), Element.of(c)
+    assoc1 = alg.product(alg.product_basis(a, b), ec) - alg.product(ea, alg.product_basis(b, c))
+    assoc2 = alg.product(alg.product_basis(a, c), eb) - alg.product(ea, alg.product_basis(c, b))
+    return assoc1 == assoc2
+
+
+def coalgebra_relation_holds(alg, a):
+    """Permutative coalgebra relation (Id - swap23)(Delta (x) Id)Delta(a) = 0."""
+    t3 = expand_slot(alg.coproduct_basis(a), 0, alg.coproduct_basis, 3)
+    return swap_slots(t3, 1, 2) == t3
+
+
+def distributive_law_holds(alg, a, b):
+    """Compatibility law Delta(a o b) = a (x) b + Delta(a) o b."""
+    eb = Element.of(b)
+    rhs = tensor(Element.of(a), eb) + module_action(alg.coproduct_basis(a), eb, product=alg.product)
+    return alg.coproduct(alg.product_basis(a, b)) == rhs
+
+
 class FreeTreeAlgebra(Algebra):
     """The free pre-Lie algebra / permutative coalgebra on labeled rooted trees.
 
@@ -344,54 +384,25 @@ def validate(alg, max_degree, limit=5):
         for (u, v), _ in alg.coproduct_basis(a).items():
             if u.degree + v.degree != a.degree:
                 fail("grading: coproduct of %s has term %s (x) %s" % (a, u, v))
-    for a in basis_upto:
-        for b in basis_upto:
-            if a.degree + b.degree > max_degree:
-                continue
-            for t, _ in alg.product_basis(a, b).items():
-                if t.degree != a.degree + b.degree:
-                    fail("grading: product %s o %s has term %s" % (a, b, t))
+    for a, b in degree_tuples(alg, 2, max_degree):
+        for t, _ in alg.product_basis(a, b).items():
+            if t.degree != a.degree + b.degree:
+                fail("grading: product %s o %s has term %s" % (a, b, t))
     if failures:
         return failures
 
-    # compatibility: Delta(a o b) = a (x) b + Delta(a) o b
+    for a, b in degree_tuples(alg, 2, max_degree):
+        if not distributive_law_holds(alg, a, b):
+            fail("distributive law fails at (%s, %s)" % (a, b))
     for a in basis_upto:
-        for b in basis_upto:
-            if a.degree + b.degree > max_degree:
-                continue
-            lhs = alg.coproduct(alg.product_basis(a, b))
-            rhs = tensor(Element.of(a), Element.of(b)) + module_action(
-                alg.coproduct_basis(a), Element.of(b), product=alg.product
-            )
-            if lhs != rhs:
-                fail("distributive law fails at (%s, %s)" % (a, b))
-
-    # permutative coalgebra relation (Id - swap23)(Delta (x) Id)Delta = 0
-    for a in basis_upto:
-        t3 = expand_slot(alg.coproduct_basis(a), 0, alg.coproduct_basis, 3)
-        if swap_slots(t3, 1, 2) != t3:
+        if not coalgebra_relation_holds(alg, a):
             fail("coalgebra relation fails at %s" % a)
     if failures:
         return failures
 
-    # pre-Lie relation on basis triples
-    for a in basis_upto:
-        for b in basis_upto:
-            if a.degree + b.degree >= max_degree:
-                continue
-            ab = alg.product_basis(a, b)
-            for c in basis_upto:
-                if a.degree + b.degree + c.degree > max_degree:
-                    continue
-                ac = alg.product_basis(a, c)
-                assoc1 = alg.product(ab, Element.of(c)) - alg.product(
-                    Element.of(a), alg.product_basis(b, c)
-                )
-                assoc2 = alg.product(ac, Element.of(b)) - alg.product(
-                    Element.of(a), alg.product_basis(c, b)
-                )
-                if assoc1 != assoc2:
-                    fail("pre-Lie relation fails at (%s, %s, %s)" % (a, b, c))
+    for a, b, c in degree_tuples(alg, 3, max_degree):
+        if not prelie_holds(alg, a, b, c):
+            fail("pre-Lie relation fails at (%s, %s, %s)" % (a, b, c))
 
     # connectedness: finite filtration degree for every basis element.  With
     # the grading checked and every degree >= 1, induction on the degree

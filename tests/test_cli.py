@@ -1,6 +1,8 @@
 import json
 
-from treelie import checks, cli
+import pytest
+
+from treelie import checks, cli, tree_core
 from treelie.freemod import parse_element, parse_tensor_element
 from treelie.tree_core import parse_tree
 
@@ -140,6 +142,36 @@ def test_check_failure_exit_code(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "check", "nap", "3", "0")
     assert code == 1
     assert "FAIL forced: witness" in out
+
+
+def _must_not_start(*args, **kwargs):
+    raise AssertionError("a job over the size limit must not start")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("enumerate", "heap", "11"), "N 11 exceeds the enumerate heap limit 10\n"),
+        (("check", "all", "9"), "max_degree 9 exceeds the check limit 8\n"),
+        (("check", "prelie", "1000", "3"), "max_degree 1000 exceeds the check limit 8\n"),
+    ],
+)
+def test_size_limits_exit_2_before_any_work(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(tree_core, "enumerate_labeled", _must_not_start)
+    monkeypatch.setattr(tree_core, "enumerate_heap_ordered", _must_not_start)
+    monkeypatch.setattr(checks, "run_suite", _must_not_start)
+    assert run_cli(capsys, *argv) == (2, "", message)
+
+
+def test_sizes_inside_the_limits_are_accepted(capsys, monkeypatch):
+    monkeypatch.setattr(tree_core, "enumerate_labeled", lambda n: ["labeled %d" % n])
+    monkeypatch.setattr(tree_core, "enumerate_heap_ordered", lambda n: ["heap %d" % n])
+    monkeypatch.setattr(
+        checks, "run_suite", lambda name, n, seed: [checks.CheckResult("%s %d" % (name, n), True)]
+    )
+    assert run_cli(capsys, "enumerate", "labeled", "11")[:2] == (0, "labeled 11\n")
+    assert run_cli(capsys, "enumerate", "heap", "10")[:2] == (0, "heap 10\n")
+    assert run_cli(capsys, "check", "all", "8")[:2] == (0, "ok all 8\n1/1 checks passed\n")
 
 
 def test_check_deterministic(capsys):
