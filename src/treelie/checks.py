@@ -72,17 +72,17 @@ class CheckResult:
         return "%s %s%s" % (status, self.name, (": " + self.detail) if self.detail else "")
 
 
-def _run(name, outcomes):
+def _run(name, outcomes, noun="cases"):
     """The one check driver: ``outcomes`` yields one item per case, ``None``
     for a pass or the failure message.  The first failure ends the check
     (``FAIL name: message``); otherwise the cases are counted
-    (``ok name: K cases``)."""
+    (``ok name: K cases``, or ``K checks`` with ``noun="checks"``)."""
     count = 0
     for outcome in outcomes:
         if outcome is not None:
             return CheckResult(name, False, outcome)
         count += 1
-    return CheckResult(name, True, "%d cases" % count)
+    return CheckResult(name, True, "%d %s" % (count, noun))
 
 
 def _basis_upto(alphabet, max_degree):
@@ -152,14 +152,14 @@ def _rooted_tree_counts(n_max):
     return a[1 : n_max + 1]
 
 
-def check_module_axiom(seed, samples=25):
+def check_module_axiom(seed):
     """Right-module law (m o l1) o l2 - (m o l2) o l1 = m o [l1, l2] on random
     small tensors."""
     rng = random.Random(seed)
     basis = _basis_upto(TWO_LETTERS, 2)
 
     def cases():
-        for _ in range(samples):
+        for _ in range(25):
             rank = rng.randint(1, 3)
             m = TensorElement(rank, _random_terms(rng, basis, rank, -3))
             l1, l2 = Element.of(rng.choice(basis)), Element.of(rng.choice(basis))
@@ -538,14 +538,14 @@ def check_petit_dernier(max_total, k_max):
     return _run(name % (max_total, k_max), cases())
 
 
-def check_mu_uk(seed, samples=20):
+def check_mu_uk(seed):
     """mu . U_k = A_k on random rank-3 tensors."""
     alg = FreeTreeAlgebra(TWO_LETTERS)
     rng = random.Random(seed)
     basis = _basis_upto(TWO_LETTERS, 2)
 
     def cases():
-        for _ in range(samples):
+        for _ in range(20):
             x = TensorElement(3, _random_terms(rng, basis, 3, -2))
             yield None if mu_of_tensor(uk_apply(x, alg), alg) == ak_apply(3, x, alg) else "x=%s" % x
 
@@ -597,19 +597,18 @@ def check_heap_expansion(k_max):
     return _run("heap-ordered expansion of A_k (k <= %d)" % k_max, cases())
 
 
-def check_operads(seed, spot_samples=15):
-    results = []
-    for name, compose in (("permutative", operads.nap_compose), ("pre-Lie", operads.pl_compose)):
-        rep = operads.check_operad_axioms(compose, 3)
-        results.append(CheckResult("%s composition axioms, arity <= 3" % name, rep.ok,
-                                   rep.failures[0] if rep.failures else "%d checks" % rep.checks))
+def check_operads(seed):
+    results = [
+        _run("%s composition axioms, arity <= 3" % name, operads.check_operad_axioms(compose, 3), "checks")
+        for name, compose in (("permutative", operads.nap_compose), ("pre-Lie", operads.pl_compose))
+    ]
     # arity-4 spot checks: sequential associativity on sampled triples
     rng = random.Random(seed)
     four = tree_core.enumerate_labeled(4)
 
     def cases():
         for compose in (operads.nap_compose, operads.pl_compose):
-            for _ in range(spot_samples):
+            for _ in range(15):
                 t, s, r = rng.choice(four), rng.choice(four), rng.choice(four)
                 i, j = rng.randint(1, 4), rng.randint(1, 4)
                 ts = operads.compose_elements(compose, t, i, s)
@@ -618,15 +617,13 @@ def check_operads(seed, spot_samples=15):
                 yield None if lhs == rhs else "arity-4 associativity at %s o_%d %s o_%d %s" % (t, i, s, j, r)
 
     results.append(_run("arity-4 associativity spot checks (seed %d)" % seed, cases()))
-    corrupted = operads.check_operad_axioms(operads.corrupted_compose, 2)
-    results.append(CheckResult("corrupted composition is rejected", not corrupted.ok,
-                               "" if not corrupted.ok else "negative control passed the axioms"))
-    pres = operads.nap_presentation_check(5)
-    results.append(CheckResult("permutative presentation (relator + decomposition)", pres.ok,
-                               pres.failures[0] if pres.failures else "%d checks" % pres.checks))
-    ev = operads.evaluation_consistency_check(4)
-    results.append(CheckResult("operad words evaluate to the free products", ev.ok,
-                               ev.failures[0] if ev.failures else "%d checks" % ev.checks))
+    rejected = any(operads.check_operad_axioms(operads.corrupted_compose, 2))
+    results.append(CheckResult("corrupted composition is rejected", rejected,
+                               "" if rejected else "negative control passed the axioms"))
+    results.append(_run("permutative presentation (relator + decomposition)",
+                        operads.nap_presentation_check(5), "checks"))
+    results.append(_run("operad words evaluate to the free products",
+                        operads.evaluation_consistency_check(4), "checks"))
     return results
 
 

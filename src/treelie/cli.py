@@ -27,6 +27,7 @@ EXIT_IO = 4
 # Largest sizes accepted, checked before any work: one step further runs for
 # minutes or exhausts memory (``enumerate heap 11`` lists 10! trees).
 MAX_CHECK_DEGREE = 8
+MAX_E_DEGREE = 7
 MAX_HEAP = 10
 
 
@@ -102,6 +103,10 @@ def cmd_coproduct(args):
 
 def cmd_e(args):
     x = _parse_tree_arg(args.tree)
+    degree = x.max_degree()
+    if degree > MAX_E_DEGREE:
+        print("degree %d exceeds the e limit %d" % (degree, MAX_E_DEGREE), file=sys.stderr)
+        return EXIT_USAGE
     letters = sorted({v.label for t in x.support() for v in tree_core.vertices(t)})
     print(rigidity.idempotent_e(x, rigidity.FreeTreeAlgebra(letters)))
     return EXIT_OK
@@ -140,7 +145,7 @@ def cmd_reconstruct(args):
             file=sys.stderr,
         )
         return EXIT_USAGE
-    report =rigidity.reconstruct(alg, args.max_degree)
+    report = rigidity.reconstruct(alg, args.max_degree)
     print(report.summary())
     if report.validation_failures:
         return EXIT_VALIDATION

@@ -83,10 +83,6 @@ class Element:
         return x
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def of(cls, key, coeff=1):
         return cls({key: _coeff(coeff)})
 
@@ -174,10 +170,6 @@ class TensorElement:
         x.rank = rank
         x.terms = terms
         return x
-
-    @classmethod
-    def zero(cls, rank):
-        return cls(rank)
 
     @classmethod
     def of(cls, keys, coeff=1):
@@ -609,7 +601,9 @@ class Filtration:
         for i in range(1, n):
             right = self._space(n - i, d2).values()
             for lv in self._space(i, d1).values():
-                rows.extend({a * width + b: x * y for a, x in lv.items() for b, y in rv.items()} for rv in right)
+                rows.extend(
+                    {a * width + b: x * y for a, x in lv.items() for b, y in rv.items()} for rv in right
+                )
         return rref(rows)
 
     def space(self, n, d):

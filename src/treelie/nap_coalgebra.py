@@ -23,19 +23,17 @@ def coproduct(x):
     return TensorElement._trusted(2, acc)
 
 
-def delta_k(x, k, coproduct_map=None):
+def delta_k(x, k):
     """k-th iterated coproduct of an Element, a tensor of rank k+1.
 
     Delta^0 is the identity (rank-1 tensor); higher iterates apply the
     coproduct to the first slot: Delta^{k+1} = (Delta (x) Id^k) Delta^k.
-    ``coproduct_map`` overrides the basis coproduct (key -> rank-2 tensor).
     """
     if k < 0:
         raise ValueError("k must be >= 0, got %d" % k)
-    cop = coproduct_basis if coproduct_map is None else coproduct_map
     out = TensorElement(1, {(t,): c for t, c in x.items()})
     for step in range(k):
-        out = expand_slot(out, 0, cop, step + 2)
+        out = expand_slot(out, 0, coproduct_basis, step + 2)
         if out.is_zero():
             return TensorElement(k + 1, {})
     return out
@@ -55,11 +53,9 @@ def insert_y(y, t):
     return TensorElement._trusted(t.rank + 1, acc)
 
 
-def is_primitive(x, coproduct_map=None):
+def is_primitive(x):
     """True iff the coproduct of ``x`` vanishes."""
-    if coproduct_map is None:
-        return coproduct(x).is_zero()
-    return delta_k(x, 1, coproduct_map).is_zero()
+    return coproduct(x).is_zero()
 
 
 def kronecker_pairing(x, y):

@@ -12,10 +12,11 @@ The checkers verify unit, associativity and symmetric-group equivariance
 exhaustively in low arity, the presentation of the permutative operad
 (relator vanishing and root decomposition), and that composing abstract
 operations matches evaluating the corresponding products on generators.
+Each checker returns one outcome per case, ``None`` for a pass or else the
+witness, for the check driver of ``treelie.checks``.
 """
 
 import itertools
-from dataclasses import dataclass, field
 
 from treelie import tree_core
 from treelie.freemod import Element, accumulate
@@ -120,103 +121,48 @@ def compose_permutation(sigma, i, tau):
     return tuple(rho)
 
 
-@dataclass
-class OperadReport:
-    name: str
-    checks: int = 0
-    failures: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return not self.failures
-
-    def record(self, condition, witness):
-        self.checks += 1
-        if not condition and len(self.failures) < 5:
-            self.failures.append(witness)
-
-    def summary(self):
-        if self.ok:
-            return "%s: %d checks passed" % (self.name, self.checks)
-        return "%s: FAILED (%d checks)\n  %s" % (
-            self.name,
-            self.checks,
-            "\n  ".join(self.failures),
-        )
-
-
-def check_operad_axioms(compose, max_arity, equivariance_arity=None):
+def check_operad_axioms(compose, max_arity):
     """Unit, sequential/parallel associativity and equivariance, exhaustively
-    over labeled trees of arity <= max_arity."""
-    report = OperadReport("operad axioms")
+    over labeled trees of arity <= max_arity.  Returns one outcome per case:
+    ``None`` for a pass, else the witness.
+
+    Every composition of two trees, ``t o_i s``, is computed once into one
+    table; the cases compose those results further or compare them."""
     trees = {n: tree_core.enumerate_labeled(n) for n in range(1, max_arity + 1)}
     perms = {n: list(itertools.permutations(range(1, n + 1))) for n in trees}
+    every = [t for ts in trees.values() for t in ts]
+    o = {(t, i, s): compose_elements(compose, t, i, s)
+         for t, s in itertools.product(every, repeat=2) for i in range(1, t.n + 1)}
+    out = []
 
-    for n, ts in trees.items():
-        for t in ts:
-            for i in range(1, n + 1):
-                report.record(
-                    compose_elements(compose, t, i, unit) == as_element(t),
-                    "unit: %s o_%d 1 != itself" % (t, i),
-                )
-            report.record(
-                compose_elements(compose, unit, 1, t) == as_element(t),
-                "unit: 1 o_1 %s != itself" % t,
-            )
+    for t in every:
+        for i in range(1, t.n + 1):
+            out.append(None if o[t, i, unit] == as_element(t) else "unit: %s o_%d 1 != itself" % (t, i))
+        out.append(None if o[unit, 1, t] == as_element(t) else "unit: 1 o_1 %s != itself" % t)
 
-    for a, ts in trees.items():
-        for b, ss in trees.items():
-            for c, rs in trees.items():
-                for t in ts:
-                    for s in ss:
-                        for r in rs:
-                            ts_comp = {
-                                i: compose_elements(compose, t, i, s) for i in range(1, a + 1)
-                            }
-                            # sequential: (t o_i s) o_{i-1+j} r == t o_i (s o_j r)
-                            for i in range(1, a + 1):
-                                for j in range(1, b + 1):
-                                    lhs = compose_elements(compose, ts_comp[i], i - 1 + j, r)
-                                    rhs = compose_elements(
-                                        compose, t, i, compose_elements(compose, s, j, r)
-                                    )
-                                    report.record(
-                                        lhs == rhs,
-                                        "sequential associativity: %s o_%d %s o_%d %s" % (t, i, s, j, r),
-                                    )
-                            # parallel: (t o_i s) o_{j+b-1} r == (t o_j r) o_i s
-                            for i in range(1, a + 1):
-                                for j in range(i + 1, a + 1):
-                                    lhs = compose_elements(compose, ts_comp[i], j + b - 1, r)
-                                    rhs = compose_elements(
-                                        compose, compose_elements(compose, t, j, r), i, s
-                                    )
-                                    report.record(
-                                        lhs == rhs,
-                                        "parallel associativity: %s o_%d %s / o_%d %s" % (t, i, s, j, r),
-                                    )
+    for a, b, c in itertools.product(trees, repeat=3):
+        for t, s, r in itertools.product(trees[a], trees[b], trees[c]):
+            # sequential: (t o_i s) o_{i-1+j} r == t o_i (s o_j r)
+            for i, j in itertools.product(range(1, a + 1), range(1, b + 1)):
+                lhs = compose_elements(compose, o[t, i, s], i - 1 + j, r)
+                rhs = compose_elements(compose, t, i, o[s, j, r])
+                witness = "sequential associativity: %s o_%d %s o_%d %s"
+                out.append(None if lhs == rhs else witness % (t, i, s, j, r))
+            # parallel: (t o_i s) o_{j+b-1} r == (t o_j r) o_i s
+            for i, j in itertools.combinations(range(1, a + 1), 2):
+                lhs = compose_elements(compose, o[t, i, s], j + b - 1, r)
+                rhs = compose_elements(compose, o[t, j, r], i, s)
+                witness = "parallel associativity: %s o_%d %s / o_%d %s"
+                out.append(None if lhs == rhs else witness % (t, i, s, j, r))
 
-    eq_arity = equivariance_arity or max_arity
-    for a in range(1, eq_arity + 1):
-        for b in range(1, eq_arity + 1):
-            for t in trees[a]:
-                for s in trees[b]:
-                    for sigma in perms[a]:
-                        for tau in perms[b]:
-                            for i in range(1, a + 1):
-                                lhs = compose_elements(
-                                    compose, act(sigma, t), i, act(tau, s)
-                                )
-                                rho = compose_permutation(sigma, i, tau)
-                                rhs = act_element(
-                                    rho, compose_elements(compose, t, sigma[i - 1], s)
-                                )
-                                report.record(
-                                    lhs == rhs,
-                                    "equivariance: sigma=%s tau=%s i=%d t=%s s=%s"
-                                    % (sigma, tau, i, t, s),
-                                )
-    return report
+    for a, b in itertools.product(trees, repeat=2):
+        for t, s, sigma, tau in itertools.product(trees[a], trees[b], perms[a], perms[b]):
+            for i in range(1, a + 1):
+                lhs = o[act(sigma, t), i, act(tau, s)]
+                rhs = act_element(compose_permutation(sigma, i, tau), o[t, sigma[i - 1], s])
+                witness = "equivariance: sigma=%s tau=%s i=%d t=%s s=%s"
+                out.append(None if lhs == rhs else witness % (sigma, tau, i, t, s))
+    return out
 
 
 def corrupted_compose(t, i, s):
@@ -276,23 +222,20 @@ def decomposition_check(t):
     return count
 
 
-def nap_presentation_check(max_degree=5):
+def nap_presentation_check(max_degree):
     """Relator vanishing and root-decomposition checks for the permutative
-    operad presentation."""
-    report = OperadReport("permutative presentation")
+    operad presentation, one outcome per case (``None`` for a pass)."""
     relator_image = nap_compose(mu, 1, mu)
-    report.record(
-        act((1, 3, 2), relator_image) == relator_image,
-        "relator image %s is not invariant under swapping labels 2,3" % relator_image,
-    )
+    witness = "relator image %s is not invariant under swapping labels 2,3" % relator_image
+    out = [None if act((1, 3, 2), relator_image) == relator_image else witness]
     for n in range(2, max_degree + 1):
         for t in tree_core.enumerate_labeled(n):
             try:
                 decomposition_check(t)
-                report.record(True, "")
+                out.append(None)
             except AssertionError as exc:
-                report.record(False, str(exc))
-    return report
+                out.append(str(exc))
+    return out
 
 
 def binary_words(n):
@@ -332,18 +275,17 @@ def evaluate_element(x, letters):
     return Element._trusted(accumulate({}, ((t.to_rooted(letters), c) for t, c in as_element(x).items())))
 
 
-def evaluation_consistency_check(max_arity=4):
+def evaluation_consistency_check(max_arity):
     """Composed operad words evaluated on distinct generators must match the
-    corresponding product expressions in the free algebras."""
-    report = OperadReport("evaluation consistency")
+    corresponding product expressions in the free algebras; one outcome per
+    word (``None`` for a pass)."""
+    out = []
     for compose, product in ((nap_compose, nap_product), (pl_compose, prelie_product)):
         for n in range(1, max_arity + 1):
             letters = ["g%d" % i for i in range(1, n + 1)]
             for word in binary_words(n):
                 via_operad = evaluate_element(word_element(word, compose), letters)
                 direct = word_product(word, list(letters), product)
-                report.record(
-                    via_operad == direct,
-                    "word %r at arity %d: %s != %s" % (word, n, via_operad, direct),
-                )
-    return report
+                witness = "word %r at arity %d: %s != %s"
+                out.append(None if via_operad == direct else witness % (word, n, via_operad, direct))
+    return out

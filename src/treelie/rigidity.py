@@ -298,9 +298,10 @@ def free_presentation(alphabet, max_degree):
     return PresentedAlgebra(generators, product, coproduct)
 
 
-def change_of_basis(alg, seed, prefix="f"):
+def change_of_basis(alg, seed):
     """Conjugate all structure constants by a random degree-preserving
-    invertible map (seeded, exact); returns a new PresentedAlgebra."""
+    invertible map (seeded, exact); returns a new PresentedAlgebra whose
+    basis elements are named ``f<degree>_<index>``."""
     rng = random.Random(seed)
     degrees = alg.degrees()
     mats, invs = {}, {}
@@ -316,7 +317,7 @@ def change_of_basis(alg, seed, prefix="f"):
         mats[d] = mat
         invs[d] = invert_matrix(mat)
 
-    names = {d: ["%s%d_%d" % (prefix, d, i) for i in range(len(alg.basis(d)))] for d in degrees}
+    names = {d: ["f%d_%d" % (d, i) for i in range(len(alg.basis(d)))] for d in degrees}
     old_index = {d: {k: i for i, k in enumerate(alg.basis(d))} for d in degrees}
 
     def to_new(x):
@@ -694,12 +695,6 @@ class ReconstructionReport:
         return "\n".join(lines)
 
 
-def phi_by_substitution(tree, leaf_map):
-    """Direct evaluation when every primitive is represented by a single
-    letter: relabel each vertex through ``leaf_map`` (label -> label)."""
-    return kernel.node(leaf_map[tree.label], [phi_by_substitution(c, leaf_map) for c in tree.children])
-
-
 def _phi(tree, reps, alg, memo):
     """Evaluate a tree monomial in ``alg`` by peeling root subtrees.
 
@@ -748,22 +743,6 @@ def reconstruct(alg, max_degree):
             reps[label] = p
             letter_degrees[label] = d
 
-    # direct substitution cross-check applies when every primitive is a
-    # single basis key that is itself a one-vertex tree
-    leaf_map = {}
-    for label, rep in reps.items():
-        items = list(rep.items())
-        if (
-            len(items) == 1
-            and items[0][1] == 1
-            and isinstance(items[0][0], kernel.Tree)
-            and items[0][0].arity == 0
-        ):
-            leaf_map[label] = items[0][0].label
-        else:
-            leaf_map = None
-            break
-
     memo = {}
     degrees = []
     witness = None
@@ -775,8 +754,6 @@ def reconstruct(alg, max_degree):
         coalgebra_ok = True
         for t in trees:
             img = _phi(t, reps, alg, memo)
-            if leaf_map is not None and img != Element.of(phi_by_substitution(t, leaf_map)):
-                raise RuntimeError("substitution cross-check failed at %s" % t)
             images.append(img)
             # coalgebra morphism: (phi (x) phi) Delta = Delta_alg phi
             lhs = {}

@@ -1,6 +1,6 @@
 """Rooted trees: parsing, rendering, enumeration and vertex surgery.
 
-Two flavours of tree live here.  ``RootedTree`` (the kernel's canonical
+Two flavours of tree live here.  ``kernel.Tree`` (the kernel's canonical
 unordered tree with labels drawn from a generator alphabet) is the basis of
 the free algebras.  ``LabeledTree`` carries a bijective labelling of its
 vertices by ``{1..n}`` and underlies the operad components; heap-ordered
@@ -22,9 +22,6 @@ import re
 from dataclasses import dataclass
 
 from treelie import kernel
-from treelie.kernel import Tree
-
-RootedTree = Tree
 
 _LABEL_RE = re.compile(r"[A-Za-z0-9_]+")
 
@@ -58,7 +55,7 @@ MAX_TREE_DEPTH = 256
 
 
 def parse_tree(text):
-    """Parse tree-grammar text into its canonical RootedTree.
+    """Parse tree-grammar text into its canonical ``kernel.Tree``.
 
     Raises TreeSyntaxError on malformed text and on nesting deeper than
     ``MAX_TREE_DEPTH`` levels.

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from treelie import checks, cli, tree_core
+from treelie import checks, cli, rigidity, tree_core
 from treelie.freemod import parse_element, parse_tensor_element
 from treelie.tree_core import parse_tree
 
@@ -154,12 +154,15 @@ def _must_not_start(*args, **kwargs):
         (("enumerate", "heap", "11"), "N 11 exceeds the enumerate heap limit 10\n"),
         (("check", "all", "9"), "max_degree 9 exceeds the check limit 8\n"),
         (("check", "prelie", "1000", "3"), "max_degree 1000 exceeds the check limit 8\n"),
+        (("e", "a[b,c,d,e,f,g,h]"), "degree 8 exceeds the e limit 7\n"),
+        (("e", "a[%s]" % ",".join(["b"] * 20)), "degree 21 exceeds the e limit 7\n"),
     ],
 )
 def test_size_limits_exit_2_before_any_work(capsys, monkeypatch, argv, message):
     monkeypatch.setattr(tree_core, "enumerate_labeled", _must_not_start)
     monkeypatch.setattr(tree_core, "enumerate_heap_ordered", _must_not_start)
     monkeypatch.setattr(checks, "run_suite", _must_not_start)
+    monkeypatch.setattr(rigidity, "idempotent_e", _must_not_start)
     assert run_cli(capsys, *argv) == (2, "", message)
 
 
@@ -172,6 +175,8 @@ def test_sizes_inside_the_limits_are_accepted(capsys, monkeypatch):
     assert run_cli(capsys, "enumerate", "labeled", "11")[:2] == (0, "labeled 11\n")
     assert run_cli(capsys, "enumerate", "heap", "10")[:2] == (0, "heap 10\n")
     assert run_cli(capsys, "check", "all", "8")[:2] == (0, "ok all 8\n1/1 checks passed\n")
+    monkeypatch.setattr(rigidity, "idempotent_e", lambda x, alg: x)
+    assert run_cli(capsys, "e", "a[b,c,d,e,f,g]")[:2] == (0, "1 * a[b,c,d,e,f,g]\n")
 
 
 def test_check_deterministic(capsys):

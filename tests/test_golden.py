@@ -32,7 +32,7 @@ def _twisted(path):
 
 CASES = {
     **{"check_%s_5_42" % s: (["check", s, "5", "42"], None)
-       for s in ("prelie", "nap", "coalgebra", "dlaw", "fundamental", "section4")},
+       for s in ("prelie", "nap", "coalgebra", "dlaw", "fundamental", "section4", "operads")},
     "reconstruct_present_a_5": (["reconstruct", "{file}", "5"], _present("a", 5)),
     "reconstruct_present_ab_3": (["reconstruct", "{file}", "3"], _present("a,b", 3)),
     "reconstruct_twisted_a_4_seed7": (["reconstruct", "{file}", "4"], _twisted),

@@ -1,5 +1,6 @@
 import pytest
 
+from operad_oracle import check_operad_axioms as oracle_axioms
 from treelie import checks, operads as O
 from treelie.freemod import Element
 from treelie.prelie import nap_product, prelie_product
@@ -54,16 +55,21 @@ def test_evaluation_of_mu_words():
     assert nap_left == nap_product(nap_product(a, b), c)
 
 
-def test_operad_axioms_exhaustive():
-    for compose in (O.nap_compose, O.pl_compose):
-        report = O.check_operad_axioms(compose, 3)
-        assert report.ok, report.summary()
+def _failures(outcomes):
+    return [w for w in outcomes if w is not None]
+
+
+def test_operad_axioms_match_oracle():
+    # arity 3 is asserted by test_operads_suite and the acceptance suite
+    for compose in (O.nap_compose, O.pl_compose, O.corrupted_compose):
+        for max_arity in (1, 2):
+            assert O.check_operad_axioms(compose, max_arity) == list(oracle_axioms(compose, max_arity))
 
 
 def test_corrupted_composition_fails_with_witness():
-    report = O.check_operad_axioms(O.corrupted_compose, 2)
-    assert not report.ok
-    assert report.failures
+    failures = _failures(O.check_operad_axioms(O.corrupted_compose, 2))
+    assert failures
+    assert all(isinstance(w, str) and w for w in failures)
 
 
 def test_relator_vanishing():
@@ -72,8 +78,9 @@ def test_relator_vanishing():
 
 
 def test_presentation_check():
-    report = O.nap_presentation_check(5)
-    assert report.ok, report.summary()
+    outcomes = O.nap_presentation_check(5)
+    assert len(outcomes) == 701
+    assert not _failures(outcomes), _failures(outcomes)[0]
 
 
 def test_decomposition_check_counts_choices():
@@ -103,8 +110,9 @@ def test_equivariance_spot():
 
 
 def test_evaluation_consistency():
-    report = O.evaluation_consistency_check(4)
-    assert report.ok, report.summary()
+    outcomes = O.evaluation_consistency_check(4)
+    assert len(outcomes) == 18
+    assert not _failures(outcomes), _failures(outcomes)[0]
 
 
 def test_operads_suite():

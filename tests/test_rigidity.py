@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from treelie import checks
+from treelie import checks, kernel, tree_core
 from treelie.freemod import Element, TensorElement, tensor
 from treelie.prelie import prelie_product
 from treelie.rigidity import (
     FreeTreeAlgebra,
+    _phi,
     PresentedAlgebra,
     ValidationError,
     ak_apply,
@@ -18,7 +19,6 @@ from treelie.rigidity import (
     idempotent_e,
     mu_image_witness,
     mu_of_tensor,
-    phi_by_substitution,
     primitives_basis,
     reconstruct,
     uk_apply,
@@ -323,9 +323,31 @@ def test_reconstruct_on_free_context_directly():
     assert rep.ok and rep.dims() == [1, 1, 2, 4]
 
 
+def phi_by_substitution(tree, leaf_map):
+    """Direct evaluation when every primitive is represented by a single
+    letter: relabel each vertex through ``leaf_map`` (label -> label)."""
+    return kernel.node(leaf_map[tree.label], [phi_by_substitution(c, leaf_map) for c in tree.children])
+
+
 def test_phi_by_substitution():
     t = parse_tree("p1_0[p1_0,p1_1]")
     assert phi_by_substitution(t, {"p1_0": "a", "p1_1": "b"}) == parse_tree("a[a,b]")
+
+
+def test_phi_matches_substitution_on_free_algebra(alg):
+    # on the free algebra the primitives of degree 1 are its letters, so
+    # peeling root subtrees must agree with relabeling the vertices
+    reps = {"p1_%d" % i: p for i, p in enumerate(primitives_basis(alg, 1))}
+    leaf_map = {}
+    for label, rep in reps.items():
+        ((leaf, coeff),) = rep.items()
+        assert coeff == 1 and leaf.arity == 0
+        leaf_map[label] = leaf.label
+    assert sorted(leaf_map.values()) == ["a", "b"]
+    memo = {}
+    for n in range(1, 6):
+        for t in tree_core.enumerate_trees(sorted(reps), n):
+            assert _phi(t, reps, alg, memo) == Element.of(phi_by_substitution(t, leaf_map))
 
 
 def test_reconstruction_suite():
