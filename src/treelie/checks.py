@@ -243,13 +243,9 @@ def check_deltak_bracketings(alphabet, max_degree, k_max):
         for t in _basis_upto(alphabet, max_degree):
             for k in range(1, k_max + 1):
                 left = delta_k(Element.of(t), k + 1)
-                d1 = coproduct(Element.of(t))
-                via_right = {}
-                for (u, v), c in d1.items():
-                    dku = delta_k(Element.of(u), k)
-                    accumulate(via_right, ((keys + (v,), cu) for keys, cu in dku.items()), c)
-                ok = left == TensorElement._trusted(k + 2, via_right)
-                yield None if ok else "Delta^%d at %s" % (k + 1, t)
+                # (Delta^k (x) Id) Delta: Delta^k spliced into the left slot
+                right = expand_slot(coproduct(Element.of(t)), 0, lambda u: delta_k(Element.of(u), k), k + 2)
+                yield None if left == right else "Delta^%d at %s" % (k + 1, t)
 
     return _run("the two coproduct recursions agree (degree <= %d, k <= %d)" % (max_degree, k_max), cases())
 
@@ -269,12 +265,11 @@ def _apply_cooperation(pattern, x):
     if pattern is None:
         return TensorElement(1, {(k,): c for k, c in x.items()})
     p1, p2 = pattern
-    acc = {}
-    for (u, v), c in coproduct(x).items():
-        t1 = _apply_cooperation(p1, Element.of(u))
-        t2 = _apply_cooperation(p2, Element.of(v))
-        accumulate(acc, ((k1 + k2, c1 * c2) for k1, c1 in t1.items() for k2, c2 in t2.items()), c)
-    return TensorElement._trusted(_pattern_rank(pattern), acc)
+    # (p1 (x) p2) Delta: splice p2 into the right slot, then p1 into the left
+    right = expand_slot(
+        coproduct(x), 1, lambda v: _apply_cooperation(p2, Element.of(v)), 1 + _pattern_rank(p2)
+    )
+    return expand_slot(right, 0, lambda u: _apply_cooperation(p1, Element.of(u)), _pattern_rank(pattern))
 
 
 def _pattern_rank(pattern):
@@ -584,14 +579,14 @@ def check_heap_expansion(k_max):
     def cases():
         for k in range(1, k_max + 1):
             hc = heap_coefficients(k)
-            if any(not u.is_heap_ordered() for u in hc.coeffs):
+            if any(not u.is_heap_ordered() for u in hc.support()):
                 yield "support of the A_%d expansion leaves HO(%d)" % (k, k)
             letters = ["x%d" % i for i in range(1, k + 1)]
             alg = FreeTreeAlgebra(letters)
             direct = ak_apply(k, TensorElement.of(tuple(tree_core.leaf(a) for a in letters)), alg)
-            if hc.evaluate(letters) != direct:
+            if operads.evaluate_element(hc, letters) != direct:
                 yield "evaluating the expansion differs from A_%d" % k
-            ok = heap_coefficients_recursive(k).coeffs == hc.coeffs
+            ok = heap_coefficients_recursive(k) == hc
             yield None if ok else "inductive coefficients differ at k=%d" % k
 
     return _run("heap-ordered expansion of A_k (k <= %d)" % k_max, cases())

@@ -29,6 +29,9 @@ EXIT_IO = 4
 MAX_CHECK_DEGREE = 8
 MAX_E_DEGREE = 7
 MAX_HEAP = 10
+# The k-th iterated coproduct, k >= 2, grows like k! in the number of root
+# subtrees; Delta^0 and Delta^1 are linear in the tree and stay unlimited.
+MAX_COPRODUCT_DEGREE = 9
 
 
 def _build_parser():
@@ -96,6 +99,11 @@ def cmd_coproduct(args):
     x = _parse_tree_arg(args.tree)
     if args.k < 0:
         print("k must be >= 0", file=sys.stderr)
+        return EXIT_USAGE
+    degree = x.max_degree()
+    if args.k >= 2 and degree > MAX_COPRODUCT_DEGREE:
+        message = "degree %d exceeds the coproduct limit %d for k >= 2" % (degree, MAX_COPRODUCT_DEGREE)
+        print(message, file=sys.stderr)
         return EXIT_USAGE
     print(delta_k(x, args.k))
     return EXIT_OK

@@ -10,7 +10,9 @@ floats, since every identity in this package is checked for exact equality.
 Every sum in the package goes through ``accumulate``, the one place where
 coefficients are added into a dict and zero sums are dropped; callers hand
 it a whole block of ``(key, coeff)`` items with one scale, so a sum of many
-terms costs one pass and no intermediate copies.
+terms costs one pass and no intermediate copies.  On top of it, ``linear``
+and ``bilinear`` extend a map on basis keys to combinations, for every
+product, coproduct and operator in the package.
 
 The module also houses the exact linear algebra needed elsewhere, one
 sparse elimination kernel (``rref`` over rows stored as ``{column: coeff}``
@@ -65,14 +67,40 @@ def accumulate(acc, items, scale=1):
     return acc
 
 
+def linear(f, x):
+    """Linear extension: the fresh zero-free dict of ``sum c * f(k)`` over the
+    terms ``(k, c)`` of ``x``.  ``f(k)`` is anything with ``items()``: an
+    Element, a TensorElement or a dict."""
+    acc = {}
+    for k, c in x.items():
+        accumulate(acc, f(k).items(), c)
+    return acc
+
+
+def bilinear(f, x, y):
+    """Bilinear extension: the fresh zero-free dict of ``sum a * b * f(k, l)``
+    over the terms ``(k, a)`` of ``x`` and ``(l, b)`` of ``y``."""
+    acc = {}
+    for k, a in x.items():
+        for l, b in y.items():
+            accumulate(acc, f(k, l).items(), a * b)
+    return acc
+
+
 class Element:
-    """Finite rational linear combination of basis keys (zero terms absent)."""
+    """Finite rational linear combination of basis keys (zero terms absent).
+
+    The arithmetic is written once here: every result is rewrapped by
+    ``_like``, so a TensorElement's sums and multiples stay TensorElements
+    of its rank.
+    """
 
     __slots__ = ("terms",)
+    rank = None
 
     def __init__(self, terms=()):
-        data = dict(terms)
-        self.terms = {k: c for k, c in data.items() if c}
+        # _coeff returns its argument, so this rejects floats and drops zeros
+        self.terms = {k: c for k, c in dict(terms).items() if _coeff(c)}
 
     @classmethod
     def _trusted(cls, terms):
@@ -82,9 +110,13 @@ class Element:
         x.terms = terms
         return x
 
+    def _like(self, terms):
+        """A trusted result of this element's kind owning ``terms``."""
+        return Element._trusted(terms)
+
     @classmethod
     def of(cls, key, coeff=1):
-        return cls({key: _coeff(coeff)})
+        return cls({key: coeff})
 
     def is_zero(self):
         return not self.terms
@@ -117,7 +149,7 @@ class Element:
         return Element._trusted({k: c for k, c in self.terms.items() if k.degree == degree})
 
     def __add__(self, other):
-        return Element._trusted(accumulate(dict(self.terms), other.terms.items()))
+        return self._like(accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -127,18 +159,13 @@ class Element:
 
     def __rmul__(self, coeff):
         c = _coeff(coeff)
-        if not c:
-            return Element()
-        return Element._trusted({k: c * v for k, v in self.terms.items()})
+        return self._like({k: c * v for k, v in self.terms.items()} if c else {})
 
     def __eq__(self, other):
-        return isinstance(other, Element) and self.terms == other.terms
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
+        return type(other) is type(self) and self.rank == other.rank and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.rank, frozenset(self.terms.items())))
 
     def __str__(self):
         return _render_terms(self.sorted_items(), str)
@@ -147,10 +174,11 @@ class Element:
         return "Element(%s)" % self
 
 
-class TensorElement:
-    """Rational combination of rank-``rank`` tuples of basis keys."""
+class TensorElement(Element):
+    """Rational combination of rank-``rank`` tuples of basis keys.  The
+    arithmetic is ``Element``'s; ``+`` also checks that the ranks agree."""
 
-    __slots__ = ("rank", "terms")
+    __slots__ = ("rank",)
 
     def __init__(self, rank, terms=()):
         if rank < 1:
@@ -160,7 +188,7 @@ class TensorElement:
         for t in data:
             if len(t) != rank:
                 raise ValueError("tuple %r does not have rank %d" % (t, rank))
-        self.terms = {t: c for t, c in data.items() if c}
+        Element.__init__(self, data)
 
     @classmethod
     def _trusted(cls, rank, terms):
@@ -171,49 +199,20 @@ class TensorElement:
         x.terms = terms
         return x
 
+    def _like(self, terms):
+        return TensorElement._trusted(self.rank, terms)
+
     @classmethod
     def of(cls, keys, coeff=1):
         keys = tuple(keys)
-        return cls(len(keys), {keys: _coeff(coeff)})
-
-    def is_zero(self):
-        return not self.terms
-
-    def items(self):
-        return self.terms.items()
-
-    def sorted_items(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
+        return cls(len(keys), {keys: coeff})
 
     def __add__(self, other):
+        # defined here, not delegated to Element.__add__: perfbench's tracer
+        # wraps each class's own __add__ and must count a tensor sum once
         if self.rank != other.rank:
             raise ValueError("rank mismatch: %d vs %d" % (self.rank, other.rank))
-        return TensorElement._trusted(self.rank, accumulate(dict(self.terms), other.terms.items()))
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __neg__(self):
-        return (-1) * self
-
-    def __rmul__(self, coeff):
-        c = _coeff(coeff)
-        if not c:
-            return TensorElement(self.rank)
-        return TensorElement._trusted(self.rank, {k: c * v for k, v in self.terms.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElement)
-            and self.rank == other.rank
-            and self.terms == other.terms
-        )
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    def __hash__(self):
-        return hash((self.rank, frozenset(self.terms.items())))
+        return self._like(accumulate(dict(self.terms), other.terms.items()))
 
     def __str__(self):
         return _render_terms(self.sorted_items(), _render_tuple)
@@ -242,24 +241,7 @@ def _render_terms(items, render_key):
 
 def parse_element(text, parse_key):
     """Inverse of ``str(Element)``: ``0`` or signed ``coeff * key`` terms."""
-    text = text.strip()
-    if text == "0":
-        return Element()
-    tokens = text.split(" ")
-    terms = []
-    pos = 0
-    sign = 1
-    while pos < len(tokens):
-        if tokens[pos] in ("+", "-"):
-            sign = 1 if tokens[pos] == "+" else -1
-            pos += 1
-        c = sign * parse_rational(tokens[pos])
-        if pos + 2 >= len(tokens) or tokens[pos + 1] != "*":
-            raise ValueError("expected 'coeff * key' at %r" % " ".join(tokens[pos:]))
-        terms.append((parse_key(tokens[pos + 2]), c))
-        pos += 3
-        sign = 1
-    return Element._trusted(accumulate({}, terms))
+    return Element._trusted({k: c for (k,), c in parse_tensor_element(text, parse_key, 1).items()})
 
 
 def parse_tensor_element(text, parse_key, rank=None):
@@ -295,15 +277,6 @@ def parse_tensor_element(text, parse_key, rank=None):
         terms.append((keys, c))
         sign = 1
     return TensorElement._trusted(seen_rank, accumulate({}, terms))
-
-
-def add(x, y):
-    """Sum of two Elements or two TensorElements of equal rank."""
-    return x + y
-
-
-def scale(coeff, x):
-    return _coeff(coeff) * x
 
 
 def tensor(*factors):

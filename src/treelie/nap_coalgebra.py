@@ -7,20 +7,17 @@ insertion operator delta_y plugs an element after each tensor position.
 """
 
 from treelie import kernel
-from treelie.freemod import TensorElement, accumulate, expand_slot
+from treelie.freemod import TensorElement, accumulate, expand_slot, linear
 
 
 def coproduct_basis(t):
     """Coproduct of a single basis tree as a rank-2 tensor."""
-    return TensorElement(2, kernel.coproduct_counts(t))
+    return TensorElement._trusted(2, kernel.coproduct_counts(t))
 
 
 def coproduct(x):
     """Linear extension of the root-subtree-removal coproduct."""
-    acc = {}
-    for t, c in x.items():
-        accumulate(acc, kernel.coproduct_counts(t).items(), c)
-    return TensorElement._trusted(2, acc)
+    return TensorElement._trusted(2, linear(kernel.coproduct_counts, x))
 
 
 def delta_k(x, k):
@@ -69,6 +66,4 @@ def tensor_pairing(t, u):
     """Kronecker pairing of two equal-rank tensors."""
     if t.rank != u.rank:
         raise ValueError("rank mismatch: %d vs %d" % (t.rank, u.rank))
-    if len(t.terms) > len(u.terms):
-        t, u = u, t
-    return sum((c * u.terms.get(k, 0) for k, c in t.items()), 0)
+    return kronecker_pairing(t, u)

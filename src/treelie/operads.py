@@ -19,7 +19,7 @@ witness, for the check driver of ``treelie.checks``.
 import itertools
 
 from treelie import tree_core
-from treelie.freemod import Element, accumulate
+from treelie.freemod import Element, accumulate, bilinear
 from treelie.prelie import nap_product, prelie_product
 from treelie.tree_core import LabeledTree, act
 
@@ -91,11 +91,7 @@ def as_element(x):
 
 def compose_elements(compose, x, i, y):
     """Bilinear extension of a composition to formal combinations."""
-    acc = {}
-    for t, ct in as_element(x).items():
-        for s, cs in as_element(y).items():
-            accumulate(acc, as_element(compose(t, i, s)).items(), ct * cs)
-    return Element._trusted(acc)
+    return Element._trusted(bilinear(lambda t, s: as_element(compose(t, i, s)), as_element(x), as_element(y)))
 
 
 def act_element(sigma, x):

@@ -7,22 +7,17 @@ slot-wise derivation.
 """
 
 from treelie import kernel
-from treelie.freemod import Element, TensorElement, accumulate
+from treelie.freemod import Element, TensorElement, accumulate, bilinear
 
 
 def prelie_product(x, y):
     """Pre-Lie product: sum of grafts of each y-term onto every vertex of each x-term."""
-    acc = {}
-    for s, cs in x.items():
-        for t, ct in y.items():
-            accumulate(acc, kernel.prelie_counts(s, t).items(), cs * ct)
-    return Element._trusted(acc)
+    return Element._trusted(bilinear(kernel.prelie_counts, x, y))
 
 
 def nap_product(x, y):
     """NAP product: graft each y-term onto the root of each x-term."""
-    grafts = ((kernel.root_graft(s, t), cs * ct) for s, cs in x.items() for t, ct in y.items())
-    return Element._trusted(accumulate({}, grafts))
+    return Element._trusted(bilinear(lambda s, t: {kernel.root_graft(s, t): 1}, x, y))
 
 
 def bracket(x, y):

@@ -19,7 +19,7 @@ isomorphism that also intertwines the coproducts.
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from treelie import kernel, tree_core
@@ -28,9 +28,11 @@ from treelie.freemod import (
     Filtration,
     TensorElement,
     accumulate,
+    bilinear,
     element_vector,
     expand_slot,
     invert_matrix,
+    linear,
     parse_rational,
     rank_of_family,
     render_rational,
@@ -63,17 +65,10 @@ class Algebra:
         return self._caches.setdefault(name, {})
 
     def product(self, x, y):
-        acc = {}
-        for a, ca in x.items():
-            for b, cb in y.items():
-                accumulate(acc, self.product_basis(a, b).items(), ca * cb)
-        return Element._trusted(acc)
+        return Element._trusted(bilinear(self.product_basis, x, y))
 
     def coproduct(self, x):
-        acc = {}
-        for a, c in x.items():
-            accumulate(acc, self.coproduct_basis(a).items(), c)
-        return TensorElement._trusted(2, acc)
+        return TensorElement._trusted(2, linear(self.coproduct_basis, x))
 
 
 def degree_tuples(alg, slots, total):
@@ -136,7 +131,7 @@ class FreeTreeAlgebra(Algebra):
         cache = self.cache("product")
         got = cache.get((s, t))
         if got is None:
-            got = Element(kernel.prelie_counts(s, t))
+            got = Element._trusted(kernel.prelie_counts(s, t))
             cache[(s, t)] = got
         return got
 
@@ -321,7 +316,7 @@ def change_of_basis(alg, seed):
     old_index = {d: {k: i for i, k in enumerate(alg.basis(d))} for d in degrees}
 
     def to_new(x):
-        """Element over old keys -> dict name -> coeff in the new basis."""
+        """Element over old keys -> Element over the new basis names."""
         out = {}
         for d in x.degrees():
             part = x.homogeneous_part(d)
@@ -330,7 +325,7 @@ def change_of_basis(alg, seed):
                 c = sum(invs[d][i][j] * vec[j] for j in range(len(vec)))
                 if c:
                     out[names[d][i]] = c
-        return out
+        return Element._trusted(out)
 
     def psi(d, i):
         """New basis vector i of degree d as an Element over old keys."""
@@ -343,11 +338,7 @@ def change_of_basis(alg, seed):
     for d1 in degrees:
         for i in range(len(names[d1])):
             cop = alg.coproduct(psi(d1, i))
-            terms = {}
-            for (u, v), c in cop.items():
-                right = to_new(Element.of(v))
-                for nu, cu in to_new(Element.of(u, c)).items():
-                    accumulate(terms, (((nu, nv), cv) for nv, cv in right.items()), cu)
+            terms = linear(lambda uv: tensor(to_new(Element.of(uv[0])), to_new(Element.of(uv[1]))), cop)
             if terms:
                 coproduct[names[d1][i]] = terms
             for d2 in degrees:
@@ -445,10 +436,7 @@ def ak_apply(k, x, alg):
     if x.rank != k:
         raise ValueError("rank mismatch: A_%d applied to rank %d" % (k, x.rank))
     cache = alg.cache("ak")
-    acc = {}
-    for keys, c in x.items():
-        accumulate(acc, _ak_tuple(keys, alg, cache).items(), c)
-    return Element._trusted(acc)
+    return Element._trusted(linear(lambda keys: _ak_tuple(keys, alg, cache), x))
 
 
 def uk_apply(x, alg):
@@ -471,10 +459,7 @@ def mu_of_tensor(w, alg):
     """Apply the product to each pair of a rank-2 tensor."""
     if w.rank != 2:
         raise ValueError("expected rank 2, got %d" % w.rank)
-    acc = {}
-    for (u, v), c in w.items():
-        accumulate(acc, alg.product_basis(u, v).items(), c)
-    return Element._trusted(acc)
+    return Element._trusted(linear(lambda uv: alg.product_basis(*uv), w))
 
 
 def _delta_iterates(t, alg):
@@ -501,8 +486,8 @@ def idempotent_e(x, alg):
     algebra, so linear extension is cheap.
     """
     cache = alg.cache("e")
-    acc = {}
-    for t, c in x.items():
+
+    def on_basis(t):
         got = cache.get(t)
         if got is None:
             terms = {t: 1}
@@ -510,8 +495,9 @@ def idempotent_e(x, alg):
                 coeff = Fraction((-1) ** k, math.factorial(k))
                 accumulate(terms, ak_apply(k + 1, dk, alg).items(), coeff)
             got = cache[t] = Element._trusted(terms)
-        accumulate(acc, got.items(), c)
-    return Element._trusted(acc)
+        return got
+
+    return Element._trusted(linear(on_basis, x))
 
 
 def mu_image_witness(x, alg):
@@ -567,21 +553,10 @@ def decomposables_rank(alg, degree):
 # heap-ordered expansion of A_k
 
 
-@dataclass(frozen=True)
-class HeapCoefficients:
-    """Expansion of A_k over heap-ordered trees: A_k = sum_U c(U) . U."""
-
-    arity: int
-    coeffs: dict = field(compare=False)
-
-    def evaluate(self, letters):
-        """Element obtained by relabeling each tree's vertex i with letters[i-1]."""
-        return Element._trusted(accumulate({}, ((u.to_rooted(letters), c) for u, c in self.coeffs.items())))
-
-
 def heap_coefficients(k):
-    """Coefficients read off by expanding A_k on k distinct ordered generators
-    in the free tree algebra."""
+    """Expansion of A_k over heap-ordered trees, A_k = sum_U c(U) . U, as an
+    Element over labeled trees: read off by expanding A_k on k distinct
+    ordered generators in the free tree algebra."""
     if k < 1:
         raise ValueError("arity must be >= 1, got %d" % k)
     letters = ["x%d" % i for i in range(1, k + 1)]
@@ -589,10 +564,7 @@ def heap_coefficients(k):
     x = TensorElement.of(tuple(kernel.leaf(a) for a in letters))
     expanded = ak_apply(k, x, alg)
     ids = {a: i + 1 for i, a in enumerate(letters)}
-    coeffs = {}
-    for t, c in expanded.items():
-        coeffs[tree_core.labeled_from_rooted(t, ids)] = c
-    return HeapCoefficients(k, coeffs)
+    return Element._trusted({tree_core.labeled_from_rooted(t, ids): c for t, c in expanded.items()})
 
 
 def graft_labeled(host, v, shoot):
@@ -615,17 +587,16 @@ def heap_coefficients_recursive(k):
     if k < 1:
         raise ValueError("arity must be >= 1, got %d" % k)
     if k == 1:
-        return HeapCoefficients(1, {tree_core.LabeledTree((0,)): 1})
+        return Element.of(tree_core.LabeledTree((0,)))
+
+    def grafts(t, tp):  # distinct vertices v give distinct trees
+        return {graft_labeled(t, v, tp): 1 for v in range(1, t.n + 1)}
+
     coeffs = {}
     for l in range(1, k):
-        weight = math.comb(k - 2, l - 1)
-        left = heap_coefficients_recursive(l)
-        right = heap_coefficients_recursive(k - l)
-        for t, ct in left.coeffs.items():
-            for tp, ctp in right.coeffs.items():
-                grafts = ((graft_labeled(t, v, tp), 1) for v in range(1, t.n + 1))
-                accumulate(coeffs, grafts, weight * ct * ctp)
-    return HeapCoefficients(k, coeffs)
+        split = bilinear(grafts, heap_coefficients_recursive(l), heap_coefficients_recursive(k - l))
+        accumulate(coeffs, split.items(), math.comb(k - 2, l - 1))
+    return Element._trusted(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -744,6 +715,10 @@ def reconstruct(alg, max_degree):
             letter_degrees[label] = d
 
     memo = {}
+
+    def phi(tree):
+        return _phi(tree, reps, alg, memo)
+
     degrees = []
     witness = None
     for n in range(1, max_degree + 1):
@@ -753,12 +728,10 @@ def reconstruct(alg, max_degree):
         images = []
         coalgebra_ok = True
         for t in trees:
-            img = _phi(t, reps, alg, memo)
+            img = phi(t)
             images.append(img)
             # coalgebra morphism: (phi (x) phi) Delta = Delta_alg phi
-            lhs = {}
-            for (u, v), c in _tree_coproduct_basis(t).items():
-                accumulate(lhs, tensor(_phi(u, reps, alg, memo), _phi(v, reps, alg, memo)).items(), c)
+            lhs = linear(lambda uv: tensor(phi(uv[0]), phi(uv[1])), _tree_coproduct_basis(t))
             if TensorElement._trusted(2, lhs) != alg.coproduct(img):
                 coalgebra_ok = False
         dim = len(alg.basis(n))

@@ -5,6 +5,8 @@ line is printed per criterion; run with ``pytest -s`` to see them.
 
 import math
 
+import pytest
+
 from treelie import checks
 from treelie.rigidity import free_presentation, reconstruct
 from treelie.tree_core import enumerate_heap_ordered, enumerate_labeled, enumerate_trees
@@ -73,6 +75,7 @@ def test_criterion_6_splitting_identities():
     _report(6, "coproduct/action identities for the A_k operators", results)
 
 
+@pytest.mark.usefixtures("shared_operad_walk")
 def test_criterion_7_operads():
     results = checks.check_operads(SEED)
     _report(7, "operad axioms, presentation and evaluation", results)

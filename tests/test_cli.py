@@ -156,9 +156,13 @@ def _must_not_start(*args, **kwargs):
         (("check", "prelie", "1000", "3"), "max_degree 1000 exceeds the check limit 8\n"),
         (("e", "a[b,c,d,e,f,g,h]"), "degree 8 exceeds the e limit 7\n"),
         (("e", "a[%s]" % ",".join(["b"] * 20)), "degree 21 exceeds the e limit 7\n"),
+        (("coproduct", "r[a,b,c,d,e,f,g,h,i]", "2"), "degree 10 exceeds the coproduct limit 9 for k >= 2\n"),
+        (("coproduct", "r[a,b,c,d,e,f,g,h,i]", "8"), "degree 10 exceeds the coproduct limit 9 for k >= 2\n"),
+        (("coproduct", _chain(256), "2"), "degree 256 exceeds the coproduct limit 9 for k >= 2\n"),
     ],
 )
 def test_size_limits_exit_2_before_any_work(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(cli, "delta_k", _must_not_start)
     monkeypatch.setattr(tree_core, "enumerate_labeled", _must_not_start)
     monkeypatch.setattr(tree_core, "enumerate_heap_ordered", _must_not_start)
     monkeypatch.setattr(checks, "run_suite", _must_not_start)
@@ -177,6 +181,14 @@ def test_sizes_inside_the_limits_are_accepted(capsys, monkeypatch):
     assert run_cli(capsys, "check", "all", "8")[:2] == (0, "ok all 8\n1/1 checks passed\n")
     monkeypatch.setattr(rigidity, "idempotent_e", lambda x, alg: x)
     assert run_cli(capsys, "e", "a[b,c,d,e,f,g]")[:2] == (0, "1 * a[b,c,d,e,f,g]\n")
+    # the coproduct limit binds only for k >= 2: a 9-vertex tree at any k,
+    # and a larger one at k <= 1, reach the computation
+    monkeypatch.setattr(cli, "delta_k", lambda x, k: "delta %d of %s" % (k, x))
+    star = "r[a,b,c,d,e,f,g,h]"
+    assert run_cli(capsys, "coproduct", star, "8")[:2] == (0, "delta 8 of 1 * %s\n" % star)
+    big = "r[a,b,c,d,e,f,g,h,i]"
+    for k in ("0", "1"):
+        assert run_cli(capsys, "coproduct", big, k)[:2] == (0, "delta %s of 1 * %s\n" % (k, big))
 
 
 def test_check_deterministic(capsys):

@@ -10,17 +10,17 @@ from treelie.freemod import (
     Element,
     TensorElement,
     accumulate,
-    add,
+    bilinear,
     echelon,
     filtration_degree,
     invert_matrix,
     is_invariant_1k,
+    linear,
     nullspace,
     parse_element,
     parse_tensor_element,
     permute_slots,
     rank_of_family,
-    scale,
     swap_slots,
     tensor,
 )
@@ -50,14 +50,13 @@ def test_add_examples():
     assert x + Element() == x
     assert x + x == 2 * x
     assert Fraction(1, 2) * E("a[b]") + Fraction(1, 2) * E("a[b]") == E("a[b]")
-    assert add(x, x) == 2 * x
 
 
 def test_scale_examples():
     x = E("a")
     assert 1 * x == x
     assert 0 * x == Element()
-    assert scale(Fraction(-1, 6), 3 * x) == Fraction(-1, 2) * x
+    assert Fraction(-1, 6) * (3 * x) == Fraction(-1, 2) * x
 
 
 def test_zero_terms_dropped():
@@ -68,6 +67,19 @@ def test_zero_terms_dropped():
 def test_coefficients_must_be_exact():
     with pytest.raises(TypeError):
         0.5 * E("a")
+
+
+def test_public_constructors_reject_floats():
+    a = parse_tree("a")
+    for c in (0.5, 0.0, 1.0):
+        with pytest.raises(TypeError):
+            Element({a: c})
+        with pytest.raises(TypeError):
+            TensorElement(2, {(a, a): c})
+        with pytest.raises(TypeError):
+            Element.of(a, c)
+        with pytest.raises(TypeError):
+            TensorElement.of((a, a), c)
 
 
 @settings(max_examples=60)
@@ -101,6 +113,67 @@ tensors = st.builds(
         max_size=4,
     ),
 )
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 3), st.data(), rationals)
+def test_tensor_arithmetic_keeps_kind_and_rank(rank, data, c):
+    tuples = st.tuples(*[st.sampled_from(POOL)] * rank)
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    t, u = (TensorElement(rank, data.draw(st.dictionaries(tuples, coeffs, max_size=4))) for _ in "tu")
+    for z in (t + u, t - u, -t, c * t, 0 * t):
+        assert type(z) is TensorElement and z.rank == rank
+    assert 0 * t == TensorElement(rank) and t - t == TensorElement(rank)
+    # an Element never equals a TensorElement, not even a zero or rank-1 one
+    assert Element() != TensorElement(rank) and TensorElement(rank) != Element()
+    if rank == 1:
+        assert Element({k: v for (k,), v in t.items()}) != t
+    assert TensorElement(rank) != TensorElement(rank + 1)
+
+
+@settings(max_examples=60)
+@given(elements, elements, st.lists(tensors, min_size=2, max_size=2))
+def test_equal_objects_hash_equal(x, y, ts):
+    t, u = ts
+    # sums in either order hold their terms in different dict orders
+    pairs = [(x, y), (x + y, y + x), (x - x, Element()), (t, u), (t + u, u + t), (t - t, TensorElement(2))]
+    for a, b in pairs:
+        if a == b:
+            assert hash(a) == hash(b)
+    assert Element(x.terms) == x and hash(Element(x.terms)) == hash(x)
+    assert TensorElement(2, t.terms) == t and hash(TensorElement(2, t.terms)) == hash(t)
+
+
+def _explicit_sum(pairs, zero):
+    total = zero
+    for c, value in pairs:
+        total = total + c * value
+    return total
+
+
+@settings(max_examples=60)
+@given(elements, elements)
+def test_linear_and_bilinear_equal_explicit_sums(x, y):
+    def double_and_graft(k):
+        return Element({k: 2, parse_tree("a[%s]" % k): -1})
+
+    def pair(k, l):
+        return TensorElement.of((k, l)) + TensorElement.of((l, k), -1)
+
+    got = linear(double_and_graft, x)
+    want = _explicit_sum([(c, double_and_graft(k)) for k, c in x.items()], Element())
+    assert Element(got) == want and 0 not in got.values()
+    got = bilinear(pair, x, y)
+    want = _explicit_sum([(a * b, pair(k, l)) for k, a in x.items() for l, b in y.items()], TensorElement(2))
+    assert TensorElement(2, got) == want and 0 not in got.values()
+    # sums that cancel to zero: x - x, the antisymmetric pair on x (x) x, and
+    # a map sending every key to one key, on coefficients that sum to zero
+    assert linear(double_and_graft, x - x) == {}
+    assert bilinear(pair, x, x) == {}
+    total = sum(x.terms.values())
+    assert linear(lambda k: {POOL[0]: 1}, x) == ({POOL[0]: total} if total else {})
+    assert linear(lambda k: {POOL[0]: 1}, E("a[b]") - E("b")) == {}
+    assert linear(lambda k: {k: 1}, x) == x.terms and linear(lambda k: {k: 1}, x) is not x.terms
 
 
 def _check_block_sums(summands, cancel, zero):

@@ -58,6 +58,7 @@ def run_case(name, tmpdir):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.usefixtures("shared_operad_walk")  # only check_operads_5_42 walks the axioms
 def test_golden_stdout(name, tmp_path):
     code, out = run_case(name, tmp_path)
     assert code == 0

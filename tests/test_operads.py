@@ -115,6 +115,7 @@ def test_evaluation_consistency():
     assert not _failures(outcomes), _failures(outcomes)[0]
 
 
+@pytest.mark.usefixtures("shared_operad_walk")
 def test_operads_suite():
     for r in checks.check_operads(seed=9):
         assert r.ok, r.line()

@@ -168,13 +168,13 @@ def test_decomposables_rank_counts():
 
 def test_heap_coefficients_small():
     h1 = heap_coefficients(1)
-    assert h1.coeffs == {LabeledTree((0,)): 1}
+    assert h1.terms == {LabeledTree((0,)): 1}
     h2 = heap_coefficients(2)
-    assert h2.coeffs == {LabeledTree((0, 1)): 1}
+    assert h2.terms == {LabeledTree((0, 1)): 1}
     h3 = heap_coefficients(3)
     cherry = LabeledTree((0, 1, 1))
     path = LabeledTree((0, 1, 2))
-    assert h3.coeffs == {cherry: 1, path: 2}
+    assert h3.terms == {cherry: 1, path: 2}
 
 
 def test_heap_support_and_reproduction():
@@ -183,13 +183,13 @@ def test_heap_support_and_reproduction():
 
 def test_heap_recursive_agreement():
     for k in range(1, 6):
-        assert heap_coefficients_recursive(k).coeffs == heap_coefficients(k).coeffs
+        assert heap_coefficients_recursive(k).terms == heap_coefficients(k).terms
 
 
 def test_heap_support_is_all_of_ho4():
     h4 = heap_coefficients(4)
-    assert set(h4.coeffs) == set(enumerate_heap_ordered(4))
-    assert all(c > 0 for c in h4.coeffs.values())
+    assert set(h4.terms) == set(enumerate_heap_ordered(4))
+    assert all(c > 0 for c in h4.terms.values())
 
 
 # -- section-4 identities -----------------------------------------------------
@@ -221,6 +221,18 @@ def test_presented_rejects_bad_names():
         PresentedAlgebra({1: ["a"]}, {("a", "z"): {"a": 1}}, {})
     with pytest.raises(ValueError):
         PresentedAlgebra({0: ["a"]}, {}, {})
+
+
+def test_presented_rejects_float_constants():
+    # the structure constants of a presented algebra are exact: a float
+    # product or coproduct constant is refused when the algebra is built
+    generators = {1: ["a"], 2: ["b"]}
+    with pytest.raises(TypeError):
+        PresentedAlgebra(generators, {("a", "a"): {"b": 0.5}}, {})
+    with pytest.raises(TypeError):
+        PresentedAlgebra(generators, {}, {"b": {("a", "a"): 2.0}})
+    with pytest.raises(TypeError):
+        PresentedAlgebra(generators, {("a", "a"): {"b": 0.5}}, {"b": {("a", "a"): 2.0}})
 
 
 def test_presented_defaults_to_zero():
