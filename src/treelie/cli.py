@@ -184,17 +184,18 @@ def cmd_enumerate(args, parser):
         if args.kind == "heap" and n > MAX_HEAP:
             print("N %d exceeds the enumerate heap limit %d" % (n, MAX_HEAP), file=sys.stderr)
             return EXIT_USAGE
-        enum = (
-            tree_core.enumerate_labeled if args.kind == "labeled" else tree_core.enumerate_heap_ordered
-        )
+        # labeled trees stream: n^(n-1) of them are printed as they are built
+        enum = tree_core.iter_labeled if args.kind == "labeled" else tree_core.enumerate_heap_ordered
         try:
             items = enum(n)
         except ValueError as exc:
             print("error: %s" % exc, file=sys.stderr)
             return EXIT_USAGE
+    count = 0
     for item in items:
         print(item)
-    print("count: %d" % len(items), file=sys.stderr)
+        count += 1
+    print("count: %d" % count, file=sys.stderr)
     return EXIT_OK
 
 

@@ -39,13 +39,16 @@ def parse_rational(text):
 
     Only strings are accepted: a JSON float such as ``0.1`` has already lost
     its exact value, so it is rejected rather than silently converted.
+    Integral values come back as ``int``, whose arithmetic is much cheaper
+    than ``Fraction``'s and renders, hashes and compares the same.
     """
     if not isinstance(text, str):
         raise ValueError("rational must be a string such as '1/2', got %r" % (text,))
     try:
-        return Fraction(text)
+        q = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError("malformed rational %r" % text) from exc
+    return q.numerator if q.denominator == 1 else q
 
 
 def render_rational(c):

@@ -62,7 +62,7 @@ def nap_compose(t, i, s):
             parent[host(j) - 1] = sub(s.root)
         elif p != 0:
             parent[host(j) - 1] = host(p)
-    return LabeledTree(tuple(parent))
+    return LabeledTree._trusted(tuple(parent))
 
 
 def pl_compose(t, i, s):
@@ -81,7 +81,7 @@ def pl_compose(t, i, s):
         parent = list(base.parent)
         for c, target in zip(children, targets):
             parent[host(c) - 1] = sub(target)
-        out[LabeledTree(tuple(parent))] = 1
+        out[LabeledTree._trusted(tuple(parent))] = 1
     return Element._trusted(out)
 
 

@@ -29,7 +29,6 @@ from treelie.freemod import (
     TensorElement,
     accumulate,
     bilinear,
-    element_vector,
     expand_slot,
     invert_matrix,
     linear,
@@ -313,19 +312,16 @@ def change_of_basis(alg, seed):
         invs[d] = invert_matrix(mat)
 
     names = {d: ["f%d_%d" % (d, i) for i in range(len(alg.basis(d)))] for d in degrees}
-    old_index = {d: {k: i for i, k in enumerate(alg.basis(d))} for d in degrees}
+    # old basis key -> its coordinates in the new basis: a sparse column of the inverse
+    column = {
+        k: {names[d][i]: row[j] for i, row in enumerate(invs[d]) if row[j]}
+        for d in degrees
+        for j, k in enumerate(alg.basis(d))
+    }
 
     def to_new(x):
         """Element over old keys -> Element over the new basis names."""
-        out = {}
-        for d in x.degrees():
-            part = x.homogeneous_part(d)
-            vec = element_vector(part, old_index[d])
-            for i in range(len(vec)):
-                c = sum(invs[d][i][j] * vec[j] for j in range(len(vec)))
-                if c:
-                    out[names[d][i]] = c
-        return Element._trusted(out)
+        return Element._trusted(linear(column.__getitem__, x))
 
     def psi(d, i):
         """New basis vector i of degree d as an Element over old keys."""

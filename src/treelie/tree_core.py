@@ -205,6 +205,16 @@ class LabeledTree:
 
     parent: tuple
 
+    @classmethod
+    def _trusted(cls, parent):
+        """Tree on the tuple ``parent`` without the validity walk of
+        ``__post_init__``, for builders whose construction already gives one
+        root, in-range parents and no cycle: the compositions, ``act`` and
+        the enumerators."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "parent", parent)
+        return t
+
     def __post_init__(self):
         n = len(self.parent)
         if n == 0:
@@ -290,35 +300,38 @@ def labeled_from_rooted(tree, letter_ids):
     return LabeledTree(tuple(parent))
 
 
-def enumerate_labeled(n):
-    """All labeled rooted trees on {1..n}; there are n^(n-1) of them."""
+def iter_labeled(n):
+    """All labeled rooted trees on {1..n}, one at a time in increasing order
+    of their parent arrays; there are n^(n-1) of them.
+
+    A depth-first walk gives vertex 1, 2, ... in turn each parent in
+    ``0..n``, with at most one root, and skips a parent whose chain of
+    already assigned parents leads back to the vertex.  An acyclic partial
+    assignment always completes, so no array is built and then rejected.
+    """
     if n < 1:
         raise ValueError("n must be >= 1, got %d" % n)
-    out = []
-    for root in range(1, n + 1):
-        others = [v for v in range(1, n + 1) if v != root]
-        for choice in itertools.product(range(1, n + 1), repeat=n - 1):
-            parent = [0] * n
-            ok = True
-            for v, p in zip(others, choice):
-                if p == v:
-                    ok = False
-                    break
-                parent[v - 1] = p
-            if not ok:
-                continue
-            # reject choices where some vertex does not reach the root
-            for v in others:
-                cur, steps = v, 0
-                while parent[cur - 1] != 0 and steps <= n:
-                    cur = parent[cur - 1]
-                    steps += 1
-                if parent[cur - 1] != 0:
-                    ok = False
-                    break
-            if ok:
-                out.append(LabeledTree(tuple(parent)))
-    return sorted(out)
+    return _labeled_walk(n, [0] * (n + 1), 1, False)
+
+
+def _labeled_walk(n, parent, v, rooted):
+    # parent[u] for u < v is assigned; parent[0] is unused
+    for p in range(1 if rooted else 0, n + 1):
+        cur = p
+        while 0 < cur < v:
+            cur = parent[cur]
+        if cur == v:
+            continue  # p's chain returns to v: a cycle
+        parent[v] = p
+        if v == n:
+            yield LabeledTree._trusted(tuple(parent[1:]))
+        else:
+            yield from _labeled_walk(n, parent, v + 1, rooted or p == 0)
+
+
+def enumerate_labeled(n):
+    """All labeled rooted trees on {1..n} as a sorted list (``iter_labeled``)."""
+    return list(iter_labeled(n))
 
 
 def enumerate_heap_ordered(n):
@@ -329,11 +342,9 @@ def enumerate_heap_ordered(n):
     """
     if n < 1:
         raise ValueError("n must be >= 1, got %d" % n)
-    out = []
-    for choice in itertools.product(*(range(1, v) for v in range(2, n + 1))):
-        parent = (0,) + choice
-        out.append(LabeledTree(parent))
-    return sorted(out)
+    # the product runs through the parent arrays in increasing order
+    choices = itertools.product(*(range(1, v) for v in range(2, n + 1)))
+    return [LabeledTree._trusted((0,) + choice) for choice in choices]
 
 
 def act(sigma, tree):
@@ -353,4 +364,4 @@ def act(sigma, tree):
     for j in range(1, n + 1):
         p = tree.parent[sigma[j - 1] - 1]
         parent[j - 1] = 0 if p == 0 else inv[p - 1]
-    return LabeledTree(tuple(parent))
+    return LabeledTree._trusted(tuple(parent))

@@ -18,6 +18,7 @@ from treelie.freemod import (
     linear,
     nullspace,
     parse_element,
+    parse_rational,
     parse_tensor_element,
     permute_slots,
     rank_of_family,
@@ -80,6 +81,16 @@ def test_public_constructors_reject_floats():
             Element.of(a, c)
         with pytest.raises(TypeError):
             TensorElement.of((a, a), c)
+
+
+def test_parse_rational_keeps_integers_as_int():
+    for text, value in (("1", 1), ("-3", -3), ("4/2", 2), ("0", 0), ("2.0", 2)):
+        assert parse_rational(text) == value and type(parse_rational(text)) is int
+    for text, value in (("1/2", Fraction(1, 2)), ("-6/4", Fraction(-3, 2)), ("1.5", Fraction(3, 2))):
+        assert parse_rational(text) == value and type(parse_rational(text)) is Fraction
+    for bad in (1, 1.0, 0.5, "x", "1/0"):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
 
 
 @settings(max_examples=60)

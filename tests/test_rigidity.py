@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from basis_change_oracle import change_of_basis as oracle_change_of_basis
 
 from treelie import checks, kernel, tree_core
 from treelie.freemod import Element, TensorElement, tensor
@@ -317,6 +318,23 @@ def test_reconstruction_after_change_of_basis():
         rep = reconstruct(change_of_basis(alg, seed), 4)
         assert rep.ok
         assert rep.dims() == [1, 1, 2, 4]
+
+
+@pytest.mark.parametrize("alphabet,max_degree,seed", [(["a"], 5, 1), (["a"], 4, 7), (["a", "b"], 3, 2)])
+def test_change_of_basis_matches_dense_oracle(alphabet, max_degree, seed):
+    free = free_presentation(alphabet, max_degree)
+    expected = oracle_change_of_basis(free, seed).to_json()
+    assert change_of_basis(free, seed).to_json() == expected
+
+
+def test_loaded_integer_constants_are_int():
+    doc = free_presentation(["a"], 3).to_json()
+    doc["product"]["a"]["a"] = [["1/2", "a[a]"], ["-4/2", "a[a]"]]
+    alg = PresentedAlgebra.from_json(doc)
+    a, aa = alg.key("a"), alg.key("a[a]")
+    assert alg.product_basis(a, a).terms == {aa: Fraction(-3, 2)}
+    coefficients = alg.product_basis(aa, a).terms.values()
+    assert coefficients and all(type(c) is int for c in coefficients)
 
 
 def test_reconstruction_rejects_corruption():

@@ -2,8 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treelie import kernel
+from treelie import kernel, operads
 from treelie import tree_core as tc
 from treelie.tree_core import (
     LabeledTree,
@@ -14,6 +16,7 @@ from treelie.tree_core import (
     enumerate_labeled,
     enumerate_trees,
     graft,
+    iter_labeled,
     leaf,
     parse_labeled,
     parse_tree,
@@ -339,3 +342,120 @@ def test_act_errors():
         act((1,), t)
     with pytest.raises(ValueError):
         act((1, 1), t)
+
+
+# -- trusted builders against the validating constructor ---------------------
+#
+# Compositions, ``act`` and the enumerators build their trees with
+# ``LabeledTree._trusted``, which skips the validity walk of the public
+# constructor; that walk is the oracle here.
+
+
+def filtered_labeled(n):
+    """Labeled trees on {1..n} as enumerated before the depth-first walk:
+    every parent choice of the non-root vertices for every root, filtered
+    for acyclicity, then sorted.  The oracle for ``iter_labeled``."""
+    out = []
+    for root in range(1, n + 1):
+        others = [v for v in range(1, n + 1) if v != root]
+        for choice in itertools.product(range(1, n + 1), repeat=n - 1):
+            parent = [0] * n
+            for v, p in zip(others, choice):
+                parent[v - 1] = p
+            if any(p == v for v, p in zip(others, choice)):
+                continue
+            reaches_root = True
+            for v in others:
+                cur, steps = v, 0
+                while parent[cur - 1] != 0 and steps <= n:
+                    cur, steps = parent[cur - 1], steps + 1
+                reaches_root = reaches_root and parent[cur - 1] == 0
+            if reaches_root:
+                out.append(LabeledTree(tuple(parent)))
+    return sorted(out)
+
+
+def assert_validated(t):
+    """``t`` is the tree the validating constructor builds from its parent array."""
+    assert type(t) is LabeledTree and type(t.parent) is tuple
+    assert LabeledTree(t.parent) == t
+
+
+def assert_compositions_validated(t, i, s):
+    assert_validated(operads.nap_compose(t, i, s))
+    summands = operads.pl_compose(t, i, s)
+    assert not summands.is_zero()
+    for u in summands.support():
+        assert_validated(u)
+
+
+def test_iter_labeled_matches_filtered_product():
+    for n in range(1, 7):
+        walked = list(iter_labeled(n))
+        assert walked == filtered_labeled(n) == enumerate_labeled(n)
+        for t in walked:
+            assert_validated(t)
+
+
+def test_heap_ordered_trees_pass_validation():
+    for n in range(1, 7):
+        for t in enumerate_heap_ordered(n):
+            assert_validated(t)
+
+
+def test_act_results_pass_validation():
+    for n in range(1, 5):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        for t in enumerate_labeled(n):
+            for sigma in perms:
+                assert_validated(act(sigma, t))
+
+
+def test_compositions_pass_validation():
+    every = [t for n in range(1, 4) for t in enumerate_labeled(n)]
+    for t, s in itertools.product(every, repeat=2):
+        for i in range(1, t.n + 1):
+            assert_compositions_validated(t, i, s)
+
+
+@st.composite
+def labeled_trees(draw, max_n):
+    """Any labeled tree on at most ``max_n`` vertices, built by the validating
+    constructor: vertices in a random order, each hung below an earlier one."""
+    n = draw(st.integers(1, max_n))
+    order = draw(st.permutations(range(1, n + 1)))
+    parent = [0] * n
+    for k in range(1, n):
+        parent[order[k] - 1] = order[draw(st.integers(0, k - 1))]
+    return LabeledTree(tuple(parent))
+
+
+@settings(max_examples=150)
+@given(labeled_trees(7), st.data())
+def test_act_on_random_trees_passes_validation(t, data):
+    assert_validated(act(data.draw(st.permutations(range(1, t.n + 1))), t))
+
+
+@settings(max_examples=150)
+@given(labeled_trees(4), labeled_trees(4), st.data())
+def test_compositions_of_random_trees_pass_validation(t, s, data):
+    assert_compositions_validated(t, data.draw(st.integers(1, t.n)), s)
+
+
+@pytest.mark.parametrize(
+    "parent,message",
+    [
+        ((0, 0), "exactly one root"),
+        ((2, 1), "exactly one root"),
+        ((0, 3, 2), "cycle"),
+        ((2, 0, 4, 3), "cycle"),
+        ((0, 5), "out of range"),
+        ((0, -1), "out of range"),
+    ],
+)
+def test_validating_constructors_reject_bad_parent_arrays(parent, message):
+    with pytest.raises(ValueError, match=message):
+        LabeledTree(parent)
+    text = "%d;1;%s" % (len(parent), ",".join(str(p) for p in parent))
+    with pytest.raises(ValueError, match=message):
+        parse_labeled(text)
