@@ -47,7 +47,7 @@ TIMEOUT_S = 60
 
 # (name, CLI arguments, presentation to write first as (alphabet, degree));
 # "{input}" in the arguments is that presentation's file
-JOBS = [("check operads 5 42", ["check", "operads", "5", "42"], None)]
+JOBS = [("check %s 5 42" % suite, ["check", suite, "5", "42"], None) for suite in ("operads", "all")]
 JOBS += [("enumerate labeled %d" % n, ["enumerate", "labeled", str(n)], None) for n in (7, 8)]
 JOBS += [
     ("reconstruct present %s %d" % (alphabet, n), ["reconstruct", "{input}", str(n)], (alphabet, n))

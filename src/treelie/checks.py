@@ -594,8 +594,8 @@ def check_heap_expansion(k_max):
 
 def check_operads(seed):
     results = [
-        _run("%s composition axioms, arity <= 3" % name, operads.check_operad_axioms(compose, 3), "checks")
-        for name, compose in (("permutative", operads.nap_compose), ("pre-Lie", operads.pl_compose))
+        _run("%s composition axioms, arity <= 3" % name, operads.check_operad_axioms(parents, 3), "checks")
+        for name, parents in (("permutative", operads.nap_parents), ("pre-Lie", operads.pl_parents))
     ]
     # arity-4 spot checks: sequential associativity on sampled triples
     rng = random.Random(seed)
@@ -612,7 +612,7 @@ def check_operads(seed):
                 yield None if lhs == rhs else "arity-4 associativity at %s o_%d %s o_%d %s" % (t, i, s, j, r)
 
     results.append(_run("arity-4 associativity spot checks (seed %d)" % seed, cases()))
-    rejected = any(operads.check_operad_axioms(operads.corrupted_compose, 2))
+    rejected = any(operads.check_operad_axioms(operads.corrupted_parents, 2))
     results.append(CheckResult("corrupted composition is rejected", rejected,
                                "" if rejected else "negative control passed the axioms"))
     results.append(_run("permutative presentation (relator + decomposition)",

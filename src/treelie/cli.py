@@ -184,8 +184,9 @@ def cmd_enumerate(args, parser):
         if args.kind == "heap" and n > MAX_HEAP:
             print("N %d exceeds the enumerate heap limit %d" % (n, MAX_HEAP), file=sys.stderr)
             return EXIT_USAGE
-        # labeled trees stream: n^(n-1) of them are printed as they are built
-        enum = tree_core.iter_labeled if args.kind == "labeled" else tree_core.enumerate_heap_ordered
+        # the trees stream: n^(n-1) labeled or (n-1)! heap-ordered ones are
+        # printed as they are built
+        enum = tree_core.iter_labeled if args.kind == "labeled" else tree_core.iter_heap_ordered
         try:
             items = enum(n)
         except ValueError as exc:

@@ -6,7 +6,10 @@ tree's root, and all incoming edges are grafted onto that root.  The pre-Lie
 one sums instead over every way of distributing the vertex's child subtrees
 across the incoming tree, so the permutative composition is one of its
 summands.  Relabeling is by block substitution: the incoming tree occupies
-ids i..i+m-1 and larger ids shift up.
+ids i..i+m-1 and larger ids shift up.  Each composition is one kernel on
+parent tuples returning ``{parent tuple: coeff}`` (``nap_parents``,
+``pl_parents``), which ``nap_compose``/``pl_compose`` wrap for ``LabeledTree``
+and ``Element``; the axiom walk runs on the kernels alone.
 
 The checkers verify unit, associativity and symmetric-group equivariance
 exhaustively in low arity, the presentation of the permutative operad
@@ -21,68 +24,71 @@ import itertools
 from treelie import tree_core
 from treelie.freemod import Element, accumulate, bilinear
 from treelie.prelie import nap_product, prelie_product
-from treelie.tree_core import LabeledTree, act
+from treelie.tree_core import LabeledTree, act, act_parent
 
 unit = LabeledTree((0,))
 mu = LabeledTree((0, 1))
 
 
-def _relabel_maps(n, i, m):
-    """Block relabeling for substitution at vertex i: host ids around i shift,
-    incoming ids j map to i+j-1."""
+def _substitute(p, i, q):
+    """``q`` substituted for vertex i of ``p`` with i's children on the root
+    of ``q``, as a parent list, and the list positions of those children.
+    Host ids above i shift up by ``len(q) - 1``; incoming id j becomes i+j-1."""
+    n, m = len(p), len(q)
+    if not 1 <= i <= n:
+        raise ValueError("vertex %d out of range 1..%d" % (i, n))
+    shift, top = m - 1, i + q.index(0)
+    host = [x if x < i else top if x == i else x + shift for x in p]
+    base = host[: i - 1] + [host[i - 1] if x == 0 else x + i - 1 for x in q] + host[i:]
+    moved = [c if c < i - 1 else c + shift for c, x in enumerate(p) if x == i]
+    return base, moved
 
-    def host(j):
-        return j if j < i else j + m - 1
 
-    def sub(j):
-        return i + j - 1
+def nap_parents(p, i, q):
+    """Permutative composition of parent tuples, ``{p o_i q: 1}``."""
+    base, _ = _substitute(p, i, q)
+    return {tuple(base): 1}
 
-    return host, sub
+
+def pl_parents(p, i, q):
+    """Pre-Lie composition of parent tuples: the sum over all maps from the
+    children of vertex i to the vertices of ``q``, coefficients all 1.  The
+    all-to-the-root map gives the permutative summand."""
+    base, moved = _substitute(p, i, q)
+    out = {}
+    # distinct target maps give distinct parent arrays, so no term repeats
+    for targets in itertools.product(range(i, i + len(q)), repeat=len(moved)):
+        for pos, target in zip(moved, targets):
+            base[pos] = target
+        out[tuple(base)] = 1
+    return out
+
+
+def corrupted_parents(p, i, q):
+    """Deliberately wrong composition (incoming edges attach to the incoming
+    tree's last vertex, not its root); negative control for the checker."""
+    base, moved = _substitute(p, i, q)
+    for pos in moved:
+        base[pos] = i + len(q) - 1
+    return {tuple(base): 1}
 
 
 def nap_compose(t, i, s):
     """Substitute ``s`` for vertex i of ``t`` (permutative composition)."""
-    n, m = t.n, s.n
-    if not 1 <= i <= n:
-        raise ValueError("vertex %d out of range 1..%d" % (i, n))
-    host, sub = _relabel_maps(n, i, m)
-    parent = [0] * (n + m - 1)
-    for j in range(1, m + 1):
-        p = s.parent[j - 1]
-        if p != 0:
-            parent[sub(j) - 1] = sub(p)
-        else:
-            pi = t.parent[i - 1]
-            parent[sub(j) - 1] = 0 if pi == 0 else host(pi)
-    for j in range(1, n + 1):
-        if j == i:
-            continue
-        p = t.parent[j - 1]
-        if p == i:
-            parent[host(j) - 1] = sub(s.root)
-        elif p != 0:
-            parent[host(j) - 1] = host(p)
-    return LabeledTree._trusted(tuple(parent))
+    (parent,) = nap_parents(t.parent, i, s.parent)
+    return LabeledTree._trusted(parent)
 
 
 def pl_compose(t, i, s):
-    """Pre-Lie composition: sum over all maps from the child subtrees of
-    vertex i to the vertices of ``s``.  Coefficients are all 1 and the
-    permutative composition is the all-to-the-root summand."""
-    n, m = t.n, s.n
-    if not 1 <= i <= n:
-        raise ValueError("vertex %d out of range 1..%d" % (i, n))
-    host, sub = _relabel_maps(n, i, m)
-    children = t.children_of(i)
-    base = nap_compose(t, i, s)
-    # distinct target maps give distinct parent arrays, so no term repeats
-    out = {}
-    for targets in itertools.product(range(1, m + 1), repeat=len(children)):
-        parent = list(base.parent)
-        for c, target in zip(children, targets):
-            parent[host(c) - 1] = sub(target)
-        out[LabeledTree._trusted(tuple(parent))] = 1
-    return Element._trusted(out)
+    """Pre-Lie composition of labeled trees, an Element of ``pl_parents``."""
+    terms = pl_parents(t.parent, i, s.parent)
+    return Element._trusted({LabeledTree._trusted(p): c for p, c in terms.items()})
+
+
+def corrupted_compose(t, i, s):
+    """``corrupted_parents`` on labeled trees."""
+    (parent,) = corrupted_parents(t.parent, i, s.parent)
+    return LabeledTree(parent)
 
 
 def as_element(x):
@@ -92,10 +98,6 @@ def as_element(x):
 def compose_elements(compose, x, i, y):
     """Bilinear extension of a composition to formal combinations."""
     return Element._trusted(bilinear(lambda t, s: as_element(compose(t, i, s)), as_element(x), as_element(y)))
-
-
-def act_element(sigma, x):
-    return Element({act(sigma, t): c for t, c in as_element(x).items()})
 
 
 def compose_permutation(sigma, i, tau):
@@ -117,59 +119,55 @@ def compose_permutation(sigma, i, tau):
     return tuple(rho)
 
 
-def check_operad_axioms(compose, max_arity):
+def check_operad_axioms(parents, max_arity):
     """Unit, sequential/parallel associativity and equivariance, exhaustively
-    over labeled trees of arity <= max_arity.  Returns one outcome per case:
+    over labeled trees of arity <= max_arity, for a composition kernel on
+    parent tuples such as ``pl_parents``.  Returns one outcome per case:
     ``None`` for a pass, else the witness.
 
-    Every composition of two trees, ``t o_i s``, is computed once into one
-    table; the cases compose those results further or compare them."""
-    trees = {n: tree_core.enumerate_labeled(n) for n in range(1, max_arity + 1)}
+    Combinations are ``{parent tuple: coeff}`` dicts; a ``LabeledTree`` is
+    built only to render a witness.  Every ``t o_i s`` of two trees is
+    computed once into one table; the cases compose or compare its values."""
+    trees = {n: [t.parent for t in tree_core.enumerate_labeled(n)] for n in range(1, max_arity + 1)}
     perms = {n: list(itertools.permutations(range(1, n + 1))) for n in trees}
+    acted = {(sigma, t): act_parent(sigma, t) for n in trees for sigma in perms[n] for t in trees[n]}
     every = [t for ts in trees.values() for t in ts]
-    o = {(t, i, s): compose_elements(compose, t, i, s)
-         for t, s in itertools.product(every, repeat=2) for i in range(1, t.n + 1)}
+    o = {(t, i, s): parents(t, i, s)
+         for t, s in itertools.product(every, repeat=2) for i in range(1, len(t) + 1)}
+    tree = LabeledTree._trusted
     out = []
 
+    def compose(x, i, y):
+        # the kernel extended bilinearly to {parent tuple: coeff} dicts
+        return bilinear(lambda p, q: parents(p, i, q), x, y)
+
     for t in every:
-        for i in range(1, t.n + 1):
-            out.append(None if o[t, i, unit] == as_element(t) else "unit: %s o_%d 1 != itself" % (t, i))
-        out.append(None if o[unit, 1, t] == as_element(t) else "unit: 1 o_1 %s != itself" % t)
+        for i in range(1, len(t) + 1):
+            out.append(None if o[t, i, unit.parent] == {t: 1} else "unit: %s o_%d 1 != itself" % (tree(t), i))
+        out.append(None if o[unit.parent, 1, t] == {t: 1} else "unit: 1 o_1 %s != itself" % tree(t))
 
     for a, b, c in itertools.product(trees, repeat=3):
         for t, s, r in itertools.product(trees[a], trees[b], trees[c]):
             # sequential: (t o_i s) o_{i-1+j} r == t o_i (s o_j r)
             for i, j in itertools.product(range(1, a + 1), range(1, b + 1)):
-                lhs = compose_elements(compose, o[t, i, s], i - 1 + j, r)
-                rhs = compose_elements(compose, t, i, o[s, j, r])
+                same = compose(o[t, i, s], i - 1 + j, {r: 1}) == compose({t: 1}, i, o[s, j, r])
                 witness = "sequential associativity: %s o_%d %s o_%d %s"
-                out.append(None if lhs == rhs else witness % (t, i, s, j, r))
+                out.append(None if same else witness % (tree(t), i, tree(s), j, tree(r)))
             # parallel: (t o_i s) o_{j+b-1} r == (t o_j r) o_i s
             for i, j in itertools.combinations(range(1, a + 1), 2):
-                lhs = compose_elements(compose, o[t, i, s], j + b - 1, r)
-                rhs = compose_elements(compose, o[t, j, r], i, s)
+                same = compose(o[t, i, s], j + b - 1, {r: 1}) == compose(o[t, j, r], i, {s: 1})
                 witness = "parallel associativity: %s o_%d %s / o_%d %s"
-                out.append(None if lhs == rhs else witness % (t, i, s, j, r))
+                out.append(None if same else witness % (tree(t), i, tree(s), j, tree(r)))
 
     for a, b in itertools.product(trees, repeat=2):
         for t, s, sigma, tau in itertools.product(trees[a], trees[b], perms[a], perms[b]):
             for i in range(1, a + 1):
-                lhs = o[act(sigma, t), i, act(tau, s)]
-                rhs = act_element(compose_permutation(sigma, i, tau), o[t, sigma[i - 1], s])
+                rho = compose_permutation(sigma, i, tau)
+                rhs = {act_parent(rho, p): c for p, c in o[t, sigma[i - 1], s].items()}
+                same = o[acted[sigma, t], i, acted[tau, s]] == rhs
                 witness = "equivariance: sigma=%s tau=%s i=%d t=%s s=%s"
-                out.append(None if lhs == rhs else witness % (sigma, tau, i, t, s))
+                out.append(None if same else witness % (sigma, tau, i, tree(t), tree(s)))
     return out
-
-
-def corrupted_compose(t, i, s):
-    """Deliberately wrong composition (incoming edges attach to the incoming
-    tree's last vertex, not its root); negative control for the checker."""
-    good = nap_compose(t, i, s)
-    host, sub = _relabel_maps(t.n, i, s.n)
-    parent = list(good.parent)
-    for c in t.children_of(i):
-        parent[host(c) - 1] = sub(s.n)
-    return LabeledTree(tuple(parent))
 
 
 def subtree_standardized(t, keep):
@@ -205,13 +203,14 @@ def decomposition_check(t):
         rest = set(range(1, t.n + 1)) - first_set
         a, rank_a = subtree_standardized(t, first_set | {r})
         b, rank_b = subtree_standardized(t, rest)
-        composed = nap_compose(a, rank_a[r], b)
-        host, sub = _relabel_maps(a.n, rank_a[r], b.n)
+        i, shift = rank_a[r], b.n - 1
+        composed = nap_compose(a, i, b)
+        # the block relabeling of ``_substitute``
         g = [0] * t.n
         for v in first_set:
-            g[v - 1] = host(rank_a[v])
+            g[v - 1] = rank_a[v] + (shift if rank_a[v] > i else 0)
         for v in rest:
-            g[v - 1] = sub(rank_b[v])
+            g[v - 1] = i + rank_b[v] - 1
         if act(tuple(g), composed) != t:
             raise AssertionError("decomposition failed at %s (subtree %d)" % (t, first))
         count += 1

@@ -263,7 +263,8 @@ class LabeledTree:
         return build(self.root)
 
     def __str__(self):
-        return "%d;%d;%s" % (self.n, self.root, ",".join(str(p) for p in self.parent))
+        parent = self.parent
+        return "%d;%d;%s" % (len(parent), parent.index(0) + 1, ",".join(map(str, parent)))
 
 
 def parse_labeled(text):
@@ -334,8 +335,9 @@ def enumerate_labeled(n):
     return list(iter_labeled(n))
 
 
-def enumerate_heap_ordered(n):
-    """All heap-ordered trees on {1..n}; there are (n-1)! of them.
+def iter_heap_ordered(n):
+    """All heap-ordered trees on {1..n}, one at a time in increasing order of
+    their parent arrays; there are (n-1)! of them.
 
     The root is forced to be 1 and every other vertex picks a smaller parent,
     so no acyclicity filtering is required.
@@ -344,7 +346,12 @@ def enumerate_heap_ordered(n):
         raise ValueError("n must be >= 1, got %d" % n)
     # the product runs through the parent arrays in increasing order
     choices = itertools.product(*(range(1, v) for v in range(2, n + 1)))
-    return [LabeledTree._trusted((0,) + choice) for choice in choices]
+    return (LabeledTree._trusted((0,) + choice) for choice in choices)
+
+
+def enumerate_heap_ordered(n):
+    """All heap-ordered trees on {1..n} as a sorted list (``iter_heap_ordered``)."""
+    return list(iter_heap_ordered(n))
 
 
 def act(sigma, tree):
@@ -357,11 +364,13 @@ def act(sigma, tree):
     n = tree.n
     if len(sigma) != n or sorted(sigma) != list(range(1, n + 1)):
         raise ValueError("sigma must be a permutation of 1..%d" % n)
-    inv = [0] * n
-    for i, s in enumerate(sigma):
-        inv[s - 1] = i + 1
-    parent = [0] * n
-    for j in range(1, n + 1):
-        p = tree.parent[sigma[j - 1] - 1]
-        parent[j - 1] = 0 if p == 0 else inv[p - 1]
-    return LabeledTree._trusted(tuple(parent))
+    return LabeledTree._trusted(act_parent(sigma, tree.parent))
+
+
+def act_parent(sigma, parent):
+    """``act`` on a parent tuple, for a ``sigma`` already known to be a
+    permutation of its ids."""
+    inv = [0] * (len(sigma) + 1)  # inv[0] = 0 keeps the root a root
+    for i, s in enumerate(sigma, 1):
+        inv[s] = i
+    return tuple([inv[parent[s - 1]] for s in sigma])

@@ -2,7 +2,7 @@
 
 ``shared_operad_walk`` lets the tests that run the whole operad suite share
 one exhaustive arity-3 axiom walk: ``operads.check_operad_axioms`` is
-deterministic, so its outcome list for one ``(compose, max_arity)`` is
+deterministic, so its outcome list for one ``(parents, max_arity)`` is
 computed once per session, and every caller gets a copy of it.
 """
 
@@ -16,10 +16,10 @@ def _operad_axioms_memo():
     walk = operads.check_operad_axioms
     memo = {}
 
-    def check_operad_axioms(compose, max_arity):
-        got = memo.get((compose, max_arity))
+    def check_operad_axioms(parents, max_arity):
+        got = memo.get((parents, max_arity))
         if got is None:
-            got = memo[(compose, max_arity)] = walk(compose, max_arity)
+            got = memo[(parents, max_arity)] = walk(parents, max_arity)
         return list(got)
 
     return check_operad_axioms

@@ -1,14 +1,90 @@
-"""The operad axiom walk as it was written before ``check_operad_axioms``
-returned its outcomes and composed each ``t o_i s`` once: a seven-deep loop
-nest that recomputes every composition where it is used.  Kept as the
-oracle for the differential test; one outcome per case, ``None`` for a pass,
-else the witness."""
+"""Oracles for the operad layer.
+
+The compositions as they were written on ``LabeledTree`` before the kernels
+on parent tuples (closures for the block relabeling, one vertex at a time),
+here with every tree built by the validating constructor,
+``act_element``, and the operad axiom walk as it was written before
+``check_operad_axioms`` returned its outcomes and composed each ``t o_i s``
+once: a seven-deep loop nest that recomputes every composition where it is
+used.  Kept for the differential tests; the walk yields one outcome per
+case, ``None`` for a pass, else the witness."""
 
 import itertools
 
 from treelie import tree_core
-from treelie.operads import act_element, as_element, compose_elements, compose_permutation, unit
-from treelie.tree_core import act
+from treelie.freemod import Element
+from treelie.operads import as_element, compose_elements, compose_permutation, unit
+from treelie.tree_core import LabeledTree, act
+
+
+def _relabel_maps(n, i, m):
+    """Block relabeling for substitution at vertex i: host ids around i shift,
+    incoming ids j map to i+j-1."""
+
+    def host(j):
+        return j if j < i else j + m - 1
+
+    def sub(j):
+        return i + j - 1
+
+    return host, sub
+
+
+def nap_compose(t, i, s):
+    """Substitute ``s`` for vertex i of ``t`` (permutative composition)."""
+    n, m = t.n, s.n
+    if not 1 <= i <= n:
+        raise ValueError("vertex %d out of range 1..%d" % (i, n))
+    host, sub = _relabel_maps(n, i, m)
+    parent = [0] * (n + m - 1)
+    for j in range(1, m + 1):
+        p = s.parent[j - 1]
+        if p != 0:
+            parent[sub(j) - 1] = sub(p)
+        else:
+            pi = t.parent[i - 1]
+            parent[sub(j) - 1] = 0 if pi == 0 else host(pi)
+    for j in range(1, n + 1):
+        if j == i:
+            continue
+        p = t.parent[j - 1]
+        if p == i:
+            parent[host(j) - 1] = sub(s.root)
+        elif p != 0:
+            parent[host(j) - 1] = host(p)
+    return LabeledTree(tuple(parent))
+
+
+def pl_compose(t, i, s):
+    """Pre-Lie composition: sum over all maps from the child subtrees of
+    vertex i to the vertices of ``s``."""
+    n, m = t.n, s.n
+    if not 1 <= i <= n:
+        raise ValueError("vertex %d out of range 1..%d" % (i, n))
+    host, sub = _relabel_maps(n, i, m)
+    children = t.children_of(i)
+    base = nap_compose(t, i, s)
+    out = Element()
+    for targets in itertools.product(range(1, m + 1), repeat=len(children)):
+        parent = list(base.parent)
+        for c, target in zip(children, targets):
+            parent[host(c) - 1] = sub(target)
+        out = out + Element.of(LabeledTree(tuple(parent)))
+    return out
+
+
+def corrupted_compose(t, i, s):
+    """Incoming edges attach to the incoming tree's last vertex."""
+    good = nap_compose(t, i, s)
+    host, sub = _relabel_maps(t.n, i, s.n)
+    parent = list(good.parent)
+    for c in t.children_of(i):
+        parent[host(c) - 1] = sub(s.n)
+    return LabeledTree(tuple(parent))
+
+
+def act_element(sigma, x):
+    return Element({act(sigma, t): c for t, c in as_element(x).items()})
 
 
 def check_operad_axioms(compose, max_arity, equivariance_arity=None):

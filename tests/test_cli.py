@@ -116,6 +116,7 @@ def test_enumerate_usage_errors(capsys):
     assert run_cli(capsys, "enumerate", "trees", "a")[0] == 2
     assert run_cli(capsys, "enumerate", "labeled", "x")[0] == 2
     assert run_cli(capsys, "enumerate", "labeled", "0")[0] == 2
+    assert run_cli(capsys, "enumerate", "heap", "0")[0] == 2
 
 
 def test_check_small_suite(capsys):
@@ -164,7 +165,7 @@ def _must_not_start(*args, **kwargs):
 def test_size_limits_exit_2_before_any_work(capsys, monkeypatch, argv, message):
     monkeypatch.setattr(cli, "delta_k", _must_not_start)
     monkeypatch.setattr(tree_core, "iter_labeled", _must_not_start)
-    monkeypatch.setattr(tree_core, "enumerate_heap_ordered", _must_not_start)
+    monkeypatch.setattr(tree_core, "iter_heap_ordered", _must_not_start)
     monkeypatch.setattr(checks, "run_suite", _must_not_start)
     monkeypatch.setattr(rigidity, "idempotent_e", _must_not_start)
     assert run_cli(capsys, *argv) == (2, "", message)
@@ -172,7 +173,7 @@ def test_size_limits_exit_2_before_any_work(capsys, monkeypatch, argv, message):
 
 def test_sizes_inside_the_limits_are_accepted(capsys, monkeypatch):
     monkeypatch.setattr(tree_core, "iter_labeled", lambda n: iter(["labeled %d" % n]))
-    monkeypatch.setattr(tree_core, "enumerate_heap_ordered", lambda n: ["heap %d" % n])
+    monkeypatch.setattr(tree_core, "iter_heap_ordered", lambda n: iter(["heap %d" % n]))
     monkeypatch.setattr(
         checks, "run_suite", lambda name, n, seed: [checks.CheckResult("%s %d" % (name, n), True)]
     )

@@ -1,10 +1,21 @@
-import pytest
+import itertools
 
-from operad_oracle import check_operad_axioms as oracle_axioms
+import operad_oracle as oracle
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_tree_core import labeled_trees
 from treelie import checks, operads as O
 from treelie.freemod import Element
 from treelie.prelie import nap_product, prelie_product
 from treelie.tree_core import LabeledTree, act, enumerate_labeled, parse_tree
+
+# each kernel on parent tuples, its public wrapper and its LabeledTree oracle
+KERNELS = [
+    (O.nap_parents, O.nap_compose, oracle.nap_compose),
+    (O.pl_parents, O.pl_compose, oracle.pl_compose),
+    (O.corrupted_parents, O.corrupted_compose, oracle.corrupted_compose),
+]
 
 
 def test_vertex_substitution_example():
@@ -24,8 +35,30 @@ def test_unit_axioms():
 
 
 def test_nap_compose_range_error():
-    with pytest.raises(ValueError):
-        O.nap_compose(O.mu, 3, O.mu)
+    for parents, compose, _ in KERNELS:
+        for i in (0, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                compose(O.mu, i, O.mu)
+            with pytest.raises(ValueError, match="out of range"):
+                parents(O.mu.parent, i, O.mu.parent)
+
+
+def _assert_wrappers_match_oracle(t, i, s):
+    for _, compose, slow in KERNELS:
+        assert compose(t, i, s) == slow(t, i, s)
+
+
+def test_compositions_match_oracle():
+    every = [t for n in range(1, 4) for t in enumerate_labeled(n)]
+    for t, s in itertools.product(every, repeat=2):
+        for i in range(1, t.n + 1):
+            _assert_wrappers_match_oracle(t, i, s)
+
+
+@settings(max_examples=200)
+@given(labeled_trees(5), labeled_trees(5), st.data())
+def test_compositions_of_random_trees_match_oracle(t, s, data):
+    _assert_wrappers_match_oracle(t, data.draw(st.integers(1, t.n)), s)
 
 
 def test_pl_compose_mu_mu():
@@ -60,14 +93,24 @@ def _failures(outcomes):
 
 
 def test_operad_axioms_match_oracle():
-    # arity 3 is asserted by test_operads_suite and the acceptance suite
-    for compose in (O.nap_compose, O.pl_compose, O.corrupted_compose):
+    # the passing kernels at arity 3 are asserted by test_operads_suite and
+    # the acceptance suite
+    for parents, _, slow in KERNELS:
         for max_arity in (1, 2):
-            assert O.check_operad_axioms(compose, max_arity) == list(oracle_axioms(compose, max_arity))
+            expected = list(oracle.check_operad_axioms(slow, max_arity))
+            assert O.check_operad_axioms(parents, max_arity) == expected
+
+
+def test_corrupted_axioms_match_oracle_in_arity_3():
+    # pins the order and text of the arity-3 witnesses
+    outcomes = O.check_operad_axioms(O.corrupted_parents, 3)
+    assert len(outcomes) == 26597
+    assert len(_failures(outcomes)) == 3572
+    assert outcomes == list(oracle.check_operad_axioms(oracle.corrupted_compose, 3))
 
 
 def test_corrupted_composition_fails_with_witness():
-    failures = _failures(O.check_operad_axioms(O.corrupted_compose, 2))
+    failures = _failures(O.check_operad_axioms(O.corrupted_parents, 2))
     assert failures
     assert all(isinstance(w, str) and w for w in failures)
 
@@ -105,7 +148,7 @@ def test_equivariance_spot():
     for i in (1, 2, 3):
         lhs = O.compose_elements(O.nap_compose, act(sigma, t), i, act(tau, s))
         rho = O.compose_permutation(sigma, i, tau)
-        rhs = O.act_element(rho, O.compose_elements(O.nap_compose, t, sigma[i - 1], s))
+        rhs = oracle.act_element(rho, O.compose_elements(O.nap_compose, t, sigma[i - 1], s))
         assert lhs == rhs
 
 

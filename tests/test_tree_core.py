@@ -11,11 +11,13 @@ from treelie.tree_core import (
     LabeledTree,
     TreeSyntaxError,
     act,
+    act_parent,
     automorphism_count,
     enumerate_heap_ordered,
     enumerate_labeled,
     enumerate_trees,
     graft,
+    iter_heap_ordered,
     iter_labeled,
     leaf,
     parse_labeled,
@@ -289,14 +291,24 @@ def test_heap_ordered_matches_filter():
         assert enumerate_heap_ordered(n) == sorted(filtered)
 
 
+def test_iter_heap_ordered_streams_the_list():
+    walk = iter_heap_ordered(4)
+    assert next(walk) == LabeledTree((0, 1, 1, 1))
+    assert [LabeledTree((0, 1, 1, 1))] + list(walk) == enumerate_heap_ordered(4)
+    with pytest.raises(ValueError):
+        iter_heap_ordered(0)
+
+
 def test_heap_ordered_two_vertices():
     (t,) = enumerate_heap_ordered(2)
     assert t.root == 1 and t.parent == (0, 1)
 
 
 def test_labeled_serialization_round_trip():
-    for t in enumerate_labeled(4)[:10]:
-        assert parse_labeled(str(t)) == t
+    for n in range(1, 6):
+        for t in enumerate_labeled(n):
+            assert parse_labeled(str(t)) == t
+            assert str(t) == "%d;%d;%s" % (t.n, t.root, ",".join(str(p) for p in t.parent))
     assert str(LabeledTree((2, 0, 2))) == "3;2;2,0,2"
 
 
@@ -334,6 +346,18 @@ def test_act_is_a_right_action():
         sigma, tau = rng.choice(perms), rng.choice(perms)
         composed = tuple(sigma[tau[i] - 1] for i in range(4))  # (sigma . tau)(i)
         assert act(composed, t) == act(tau, act(sigma, t))
+
+
+def test_act_parent_matches_act():
+    # parent' = sigma^{-1} . parent . sigma: vertex j of the result sits
+    # where sigma(j) sits in t
+    for n in range(1, 5):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        for t in enumerate_labeled(n):
+            for sigma in perms:
+                got = act_parent(sigma, t.parent)
+                assert got == act(sigma, t).parent
+                assert [0 if p == 0 else sigma[p - 1] for p in got] == [t.parent[v - 1] for v in sigma]
 
 
 def test_act_errors():
