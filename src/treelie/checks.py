@@ -44,6 +44,7 @@ from treelie.rigidity import (
     decomposables_rank,
     degree_tuples,
     distributive_law_holds,
+    evaluate_monomial,
     free_presentation,
     heap_coefficients,
     heap_coefficients_recursive,
@@ -107,22 +108,19 @@ def check_prelie_relation(alphabet, total):
 
 def check_trick_formula(alphabet, total):
     """Peeling the last root subtree: B(v,T1..Tn) = B(v,T1..Tn-1) o Tn
-    - sum_i B(v,..,Ti o Tn,..)."""
+    - sum_i B(v,..,Ti o Tn,..).  ``evaluate_monomial``, which ``reconstruct``
+    runs, evaluates a tree by this formula; on the free algebra with every
+    letter standing for itself it must return the tree.  By induction on
+    (degree, arity), that is the formula on every tree of the set."""
+    alg = FreeTreeAlgebra(alphabet)
+    reps = {a: Element.of(tree_core.leaf(a)) for a in alphabet}
+    memo = {}
 
     def cases():
         for t in _basis_upto(alphabet, total):
             if t.arity < 1:
                 continue
-            children = t.children
-            head = tree_core.node(t.label, children[:-1])
-            tail = children[-1]
-            rhs = dict(prelie_product(Element.of(head), Element.of(tail)).terms)
-            for i in range(len(children) - 1):
-                corr = prelie_product(Element.of(children[i]), Element.of(tail))
-                rest = children[i + 1 : -1]
-                peeled = ((tree_core.node(t.label, children[:i] + (s,) + rest), c) for s, c in corr.items())
-                accumulate(rhs, peeled, -1)
-            yield None if Element._trusted(rhs) == Element.of(t) else "at %s" % t
+            yield None if evaluate_monomial(t, reps, alg, memo) == Element.of(t) else "at %s" % t
 
     return _run("root-subtree peeling formula, degree <= %d" % total, cases())
 

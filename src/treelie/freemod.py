@@ -499,11 +499,11 @@ class Filtration:
     ``C_1 = ker(coproduct)`` and ``C_n`` is the preimage of
     ``sum_i C_i (x) C_{n-i}``.  ``coproduct`` maps a basis key to a rank-2
     TensorElement and ``basis`` maps a degree to the full list of basis keys
-    in that degree.  Every coproduct image is laid out once per degree as
-    sparse rows: a pair ``(u, v)`` of basis keys of degrees ``(d1, d2)`` sits
-    in the bidegree block ``(d1, d2)`` at column ``i * dim H_d2 + j`` for the
-    indices ``i, j`` of ``u, v``, and every other (stray: off-block or
-    out-of-basis) pair gets a column of its own.  Stray coordinates are kept
+    in that degree.  The coproduct images of a degree are laid out once, on
+    first use, as sparse rows: a pair ``(u, v)`` of basis keys of degrees
+    ``(d1, d2)`` sits in the bidegree block ``(d1, d2)`` at column
+    ``i * dim H_d2 + j`` for the indices ``i, j`` of ``u, v``, and every other
+    (stray: off-block or out-of-basis) pair gets a column of its own.  Stray coordinates are kept
     as genuine extra coordinates, so an ungraded coproduct correctly
     excludes an element from every ``C_n``.
 
@@ -516,20 +516,26 @@ class Filtration:
 
     def __init__(self, coproduct, basis, max_degree):
         self.max_degree = max_degree
+        self._coproduct = coproduct
         self._bases = {d: list(basis(d)) for d in range(1, max_degree + 1)}
         self._index = {d: {k: i for i, k in enumerate(keys)} for d, keys in self._bases.items()}
-        # d -> one (block -> sparse part, sparse stray part) per basis key
-        self._layout = {d: self._lay_out([coproduct(k) for k in keys]) for d, keys in self._bases.items()}
+        self._layouts = {}  # d -> one (block -> sparse part, sparse stray part) per basis key
         self._spaces = {}  # (n, d) -> rref of C_n within H_d
 
     def _locate(self, key):
         i = self._index.get(key.degree, {}).get(key)
         return (key.degree, i) if i is not None else None
 
-    def _lay_out(self, deltas):
+    def _layout(self, d):
+        got = self._layouts.get(d)
+        if got is None:
+            got = self._layouts[d] = self._lay_out(d)
+        return got
+
+    def _lay_out(self, d):
         strays = {}
         rows = []
-        for t in deltas:
+        for t in map(self._coproduct, self._bases[d]):
             blocks, stray = {}, {}
             for (u, v), c in t.items():
                 lu, lv = self._locate(u), self._locate(v)
@@ -557,7 +563,7 @@ class Filtration:
         # one row per coordinate, indexed by the basis keys of H_d
         columns = {}
         spans = {}
-        for i, (blocks, stray) in enumerate(self._layout[d]):
+        for i, (blocks, stray) in enumerate(self._layout(d)):
             for block, part in blocks.items():
                 if n > 1:
                     span = spans.get(block)

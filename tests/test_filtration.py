@@ -1,13 +1,18 @@
 """Differential tests for ``freemod.Filtration`` against the per-element
 filtration computation it replaced, kept here as the oracle on the dense
-``Fraction`` row reduction of ``dense_linalg``."""
+``Fraction`` row reduction of ``dense_linalg``, and the property that lets
+``validate`` skip connectedness: a graded coproduct bounds the filtration
+degree by the degree."""
 
 import math
 import random
 from fractions import Fraction
 
 import pytest
+import validate_oracle
 from dense_linalg import echelon, in_row_span, nullspace, reduce_mod_rows, transpose
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treelie import checks, cli, rigidity, tree_core
 from treelie.freemod import Element, Filtration, TensorElement, element_vector, filtration_degree
@@ -214,31 +219,75 @@ class _CountingFiltration(Filtration):
         super().__init__(*args)
 
 
-def test_validate_builds_one_filtration(monkeypatch):
-    monkeypatch.setattr(rigidity, "Filtration", _CountingFiltration)
-    _CountingFiltration.built = 0
+def test_validate_builds_no_filtration(monkeypatch):
     alg = rigidity.free_presentation(["a", "b"], 3)
+
+    def refuse(self, *args):
+        raise AssertionError("validate built a Filtration")
+
+    monkeypatch.setattr(Filtration, "__init__", refuse)
     assert rigidity.validate(alg, 3) == []
-    assert _CountingFiltration.built == 1
 
 
-def test_reconstruct_builds_one_filtration_and_never_runs_e(monkeypatch):
+def test_reconstruct_lays_out_each_degree_once_and_never_runs_e(monkeypatch):
     calls = []
-    monkeypatch.setattr(rigidity, "Filtration", _CountingFiltration)
+    laid_out = []
+    lay_out = Filtration._lay_out
+
+    def counting(self, d):
+        laid_out.append(d)
+        return lay_out(self, d)
+
+    monkeypatch.setattr(Filtration, "_lay_out", counting)
     monkeypatch.setattr(rigidity, "idempotent_e", lambda *args: calls.append(args))
-    _CountingFiltration.built = 0
     alg = rigidity.change_of_basis(rigidity.free_presentation(["a", "b"], 3), 3)
     assert rigidity.reconstruct(alg, 3).ok
-    assert _CountingFiltration.built == 1
+    assert laid_out and len(set(laid_out)) == len(laid_out)
     assert calls == []
 
 
-def test_validate_reports_infinite_and_too_high_filtration_degree(monkeypatch):
-    alg = rigidity.free_presentation(["a"], 3)
-    monkeypatch.setattr(Filtration, "degree_of", lambda self, x: math.inf)
-    assert rigidity.validate(alg, 3)[0] == "connectedness fails at a"
-    monkeypatch.setattr(Filtration, "degree_of", lambda self, x: x.max_degree() + 1)
-    assert rigidity.validate(alg, 3)[0] == "filtration bound fails at a: filtration degree 2 exceeds degree 1"
+COEFFS = ["0", "1", "-1", "2", "1/2"]
+
+
+def _graded_doc(data):
+    """A presented algebra document with 1-3 names per degree up to a top
+    degree 2-5 and random coefficients on degree-admissible coproduct legs
+    and product targets; no relation is imposed."""
+    top = data.draw(st.integers(2, 5), label="top")
+    names = {d: ["g%d_%d" % (d, i) for i in range(data.draw(st.integers(1, 3)))] for d in range(1, top + 1)}
+    product = {}
+    for d1 in range(1, top):
+        for d2 in range(1, top - d1 + 1):
+            targets = st.tuples(st.sampled_from(COEFFS), st.sampled_from(names[d1 + d2]))
+            for a in names[d1]:
+                for b in names[d2]:
+                    product.setdefault(a, {})[b] = [list(t) for t in data.draw(st.lists(targets, max_size=2))]
+    coproduct = {}
+    for d in range(2, top + 1):
+        legs = [(u, v) for i in range(1, d) for u in names[i] for v in names[d - i]]
+        terms = st.tuples(st.sampled_from(COEFFS), st.sampled_from(legs))
+        for a in names[d]:
+            coproduct[a] = [[c, u, v] for c, (u, v) in data.draw(st.lists(terms, max_size=3))]
+    doc = {"generators": {str(d): ns for d, ns in names.items()}, "product": product, "coproduct": coproduct}
+    return doc, top
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_grading_bounds_the_filtration_degree(data):
+    """With the grading holding and every degree >= 1, every basis element
+    has filtration degree at most its degree, so ``validate`` needs no
+    connectedness pass: it reports what the oracle, which still runs one,
+    reports."""
+    doc, top = _graded_doc(data)
+    alg = rigidity.PresentedAlgebra.from_json(doc)
+    filtration = Filtration(alg.coproduct_basis, alg.basis, top)
+    for d in range(1, top + 1):
+        for k in alg.basis(d):
+            assert filtration.degree_of(Element.of(k)) <= k.degree
+    for limit in (1, 5):
+        expected = validate_oracle.validate(rigidity.PresentedAlgebra.from_json(doc), top, limit)
+        assert rigidity.validate(alg, top, limit) == expected
 
 
 def test_cooperation_vanishing_builds_one_filtration(monkeypatch):

@@ -61,14 +61,6 @@ def test_change_of_basis_matches_e_image(alphabet, max_degree, seed):
     _assert_matches_oracle(alg, max_degree)
 
 
-def test_primitives_reuse_the_validated_filtration():
-    alg = free_presentation(["a", "b"], 3)
-    assert rigidity.validate(alg, 3) == []
-    (filtration,) = alg.cache("filtration").values()
-    assert primitives_basis(alg, 2) == filtration.space(1, 2)
-    assert list(alg.cache("filtration").values()) == [filtration]
-
-
 def test_decomposition_check_compares_e_image_with_primitives(monkeypatch):
     assert checks.check_decomposition(4).ok
     # a projector whose image (all of H_n) is not ker Delta

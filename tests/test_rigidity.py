@@ -8,12 +8,12 @@ from treelie.freemod import Element, TensorElement, tensor
 from treelie.prelie import prelie_product
 from treelie.rigidity import (
     FreeTreeAlgebra,
-    _phi,
     PresentedAlgebra,
     ValidationError,
     ak_apply,
     change_of_basis,
     decomposables_rank,
+    evaluate_monomial,
     free_presentation,
     heap_coefficients,
     heap_coefficients_recursive,
@@ -377,7 +377,7 @@ def test_phi_matches_substitution_on_free_algebra(alg):
     memo = {}
     for n in range(1, 6):
         for t in tree_core.enumerate_trees(sorted(reps), n):
-            assert _phi(t, reps, alg, memo) == Element.of(phi_by_substitution(t, leaf_map))
+            assert evaluate_monomial(t, reps, alg, memo) == Element.of(phi_by_substitution(t, leaf_map))
 
 
 def test_reconstruction_suite():
