@@ -46,8 +46,10 @@ REFERENCE = os.path.join(CHECKOUT, "perfbench", "reference.py")
 TIMEOUT_S = 60
 
 # (name, CLI arguments, presentation to write first as (alphabet, degree));
-# "{input}" in the arguments is that presentation's file
-JOBS = [("check %s 5 42" % suite, ["check", suite, "5", "42"], None) for suite in ("operads", "all")]
+# "{input}" in the arguments is that presentation's file.  The first job does
+# almost no algebra: it times a cold start, interpreter plus imports.
+JOBS = [("product prelie a b", ["product", "prelie", "a", "b"], None)]
+JOBS += [("check %s 5 42" % suite, ["check", suite, "5", "42"], None) for suite in ("operads", "all")]
 JOBS += [("enumerate labeled %d" % n, ["enumerate", "labeled", str(n)], None) for n in (7, 8)]
 JOBS += [
     ("reconstruct present %s %d" % (alphabet, n), ["reconstruct", "{input}", str(n)], (alphabet, n))

@@ -13,7 +13,6 @@ distributive relations are the predicates of ``treelie.rigidity`` that
 import itertools
 import math
 import random
-from dataclasses import dataclass
 
 from treelie import operads, tree_core
 from treelie.freemod import (
@@ -38,6 +37,7 @@ from treelie.prelie import bracket, module_action, nap_product, prelie_product
 from treelie.rigidity import (
     FreeTreeAlgebra,
     PresentedAlgebra,
+    Record,
     ak_apply,
     change_of_basis,
     coalgebra_relation_holds,
@@ -62,11 +62,13 @@ ONE_LETTER = ("a",)
 TWO_LETTERS = ("a", "b")
 
 
-@dataclass
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
+class CheckResult(Record):
+    _fields = ("name", "ok", "detail")
+
+    def __init__(self, name, ok, detail=""):
+        self.name = name
+        self.ok = ok
+        self.detail = detail
 
     def line(self):
         status = "ok" if self.ok else "FAIL"
@@ -86,6 +88,23 @@ def _run(name, outcomes, noun="cases"):
     return CheckResult(name, True, "%d %s" % (count, noun))
 
 
+# While ``run_suite`` runs: the free algebra on each alphabet, shared by its
+# checks so that products, A_k and e(t) are computed once per run.
+_shared = None
+
+
+def _free(alphabet):
+    """The free tree algebra on ``alphabet``: the shared one inside
+    ``run_suite``, a fresh one outside it."""
+    if _shared is None:
+        return FreeTreeAlgebra(alphabet)
+    alphabet = tuple(alphabet)
+    alg = _shared.get(alphabet)
+    if alg is None:
+        alg = _shared[alphabet] = FreeTreeAlgebra(alphabet)
+    return alg
+
+
 def _basis_upto(alphabet, max_degree):
     out = []
     for d in range(1, max_degree + 1):
@@ -98,7 +117,7 @@ def _basis_upto(alphabet, max_degree):
 
 
 def check_prelie_relation(alphabet, total):
-    alg = FreeTreeAlgebra(alphabet)
+    alg = _free(alphabet)
     cases = (
         None if prelie_holds(alg, x, y, z) else "at (%s, %s, %s)" % (x, y, z)
         for x, y, z in degree_tuples(alg, 3, total)
@@ -112,7 +131,7 @@ def check_trick_formula(alphabet, total):
     runs, evaluates a tree by this formula; on the free algebra with every
     letter standing for itself it must return the tree.  By induction on
     (degree, arity), that is the formula on every tree of the set."""
-    alg = FreeTreeAlgebra(alphabet)
+    alg = _free(alphabet)
     reps = {a: Element.of(tree_core.leaf(a)) for a in alphabet}
     memo = {}
 
@@ -193,7 +212,7 @@ def suite_prelie(max_degree, seed):
 
 def check_nap_relation(alphabet, total):
     def cases():
-        for x, y, z in degree_tuples(FreeTreeAlgebra(alphabet), 3, total):
+        for x, y, z in degree_tuples(_free(alphabet), 3, total):
             lhs = nap_product(nap_product(Element.of(x), Element.of(y)), Element.of(z))
             rhs = nap_product(nap_product(Element.of(x), Element.of(z)), Element.of(y))
             yield None if lhs == rhs else "at (%s, %s, %s)" % (x, y, z)
@@ -214,7 +233,7 @@ def suite_nap(max_degree, seed):
 
 
 def check_nap_coalgebra_relation(alphabet, max_degree):
-    alg = FreeTreeAlgebra(alphabet)
+    alg = _free(alphabet)
     cases = (
         None if coalgebra_relation_holds(alg, t) else "at %s" % t for t in _basis_upto(alphabet, max_degree)
     )
@@ -352,7 +371,7 @@ def suite_coalgebra(max_degree, seed):
 
 
 def check_distributive_law(alphabet, total):
-    alg = FreeTreeAlgebra(alphabet)
+    alg = _free(alphabet)
     cases = (
         None if distributive_law_holds(alg, x, y) else "at (%s, %s)" % (x, y)
         for x, y in degree_tuples(alg, 2, total)
@@ -362,7 +381,7 @@ def check_distributive_law(alphabet, total):
 
 def check_iterated_distributive_law(alphabet, total, k_max):
     def cases():
-        for x, y in degree_tuples(FreeTreeAlgebra(alphabet), 2, total):
+        for x, y in degree_tuples(_free(alphabet), 2, total):
             ex = Element.of(x)
             ey = Element.of(y)
             for k in range(1, k_max + 1):
@@ -388,7 +407,7 @@ def suite_dlaw(max_degree, seed):
 
 
 def check_projector(alphabet, max_degree):
-    alg = FreeTreeAlgebra(alphabet)
+    alg = _free(alphabet)
 
     def cases():
         for t in _basis_upto(alphabet, max_degree):
@@ -401,7 +420,7 @@ def check_projector(alphabet, max_degree):
 
 
 def check_annihilation(alphabet, total):
-    alg = FreeTreeAlgebra(alphabet)
+    alg = _free(alphabet)
     cases = (
         None if idempotent_e(prelie_product(Element.of(x), Element.of(y)), alg).is_zero()
         else "e(%s o %s) != 0" % (x, y)
@@ -415,7 +434,7 @@ def check_decomposition(max_degree):
     with the one-generator dims 1,1,2,4,9,20,... and primitives only in degree 1,
     where the image of e equals the primitives ker(Delta); plus the
     constructive witness mu(w) = x - e(x)."""
-    alg = FreeTreeAlgebra(ONE_LETTER)
+    alg = _free(ONE_LETTER)
     expected = _rooted_tree_counts(max_degree)
 
     def cases():
@@ -456,7 +475,7 @@ def suite_fundamental(max_degree, seed):
 def check_delta_ak(max_degree, k_max):
     """D A_{k+1} = k U_{k+1} + U_{k+2}(D (x) Id^k) on iterated coproducts,
     whose membership in the invariant domain is asserted alongside."""
-    alg = FreeTreeAlgebra(ONE_LETTER)
+    alg = _free(ONE_LETTER)
 
     def cases():
         for t in _basis_upto(ONE_LETTER, max_degree):
@@ -479,7 +498,7 @@ def check_delta_ak(max_degree, k_max):
 
 def check_derivation_ak(max_degree, k_max):
     """(k+1) A_{k+1}(x o y) = A_{k+2}(insert_y(x)) for invariant x = Delta^k(T)."""
-    alg = FreeTreeAlgebra(ONE_LETTER)
+    alg = _free(ONE_LETTER)
 
     def cases():
         for t, y in degree_tuples(alg, 2, max_degree):
@@ -504,7 +523,7 @@ def _symmetrize_tail(keys):
 def check_petit_dernier(max_total, k_max):
     """sum_l binom(k, l-1) A_l(x_1..x_l) o A_{k+2-l}(y (x) x_{l+1}..x_{k+1})
     = A_{k+1}(x o y) on explicitly symmetrized tensors."""
-    alg = FreeTreeAlgebra(ONE_LETTER)
+    alg = _free(ONE_LETTER)
 
     def cases():
         for k in range(0, k_max + 1):
@@ -533,7 +552,7 @@ def check_petit_dernier(max_total, k_max):
 
 def check_mu_uk(seed):
     """mu . U_k = A_k on random rank-3 tensors."""
-    alg = FreeTreeAlgebra(TWO_LETTERS)
+    alg = _free(TWO_LETTERS)
     rng = random.Random(seed)
     basis = _basis_upto(TWO_LETTERS, 2)
 
@@ -580,7 +599,7 @@ def check_heap_expansion(k_max):
             if any(not u.is_heap_ordered() for u in hc.support()):
                 yield "support of the A_%d expansion leaves HO(%d)" % (k, k)
             letters = ["x%d" % i for i in range(1, k + 1)]
-            alg = FreeTreeAlgebra(letters)
+            alg = _free(letters)
             direct = ak_apply(k, TensorElement.of(tuple(tree_core.leaf(a) for a in letters)), alg)
             if operads.evaluate_element(hc, letters) != direct:
                 yield "evaluating the expansion differs from A_%d" % k
@@ -671,14 +690,19 @@ SUITES = {
 
 def run_suite(name, max_degree, seed):
     """Results for one named suite; ``all`` runs every suite plus the
-    reconstruction block."""
-    if name == "all":
+    reconstruction block.  The checks of the run share one free algebra per
+    alphabet, released when the run returns."""
+    global _shared
+    if name != "all" and name not in SUITES:
+        raise KeyError(name)
+    _shared = {}
+    try:
+        if name != "all":
+            return SUITES[name](max_degree, seed)
         out = []
         for key in sorted(SUITES):
             out.extend(SUITES[key](max_degree, seed))
         out.extend(suite_reconstruction(max_degree, seed))
         return out
-    fn = SUITES.get(name)
-    if fn is None:
-        raise KeyError(name)
-    return fn(max_degree, seed)
+    finally:
+        _shared = None

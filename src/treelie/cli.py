@@ -27,7 +27,7 @@ EXIT_IO = 4
 # Largest sizes accepted, checked before any work.  MAX_HEAP bounds run time
 # only: ``enumerate heap`` streams in flat memory, and ``enumerate heap 11``
 # would print 10! trees.  MAX_CHECK_DEGREE bounds run time and memory
-# (``check all 8`` takes about 110 s and 354 MB on a 2-vCPU host), MAX_E_DEGREE
+# (``check all 8`` takes about 62 s and 330 MB on a 2-vCPU host), MAX_E_DEGREE
 # (``e`` of a root with 7 leaves was still running at 30 s).
 MAX_CHECK_DEGREE = 8
 MAX_E_DEGREE = 7

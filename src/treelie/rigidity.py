@@ -17,10 +17,10 @@ algebra on the primitives and reports, degree by degree, whether it is an
 isomorphism that also intertwines the coproducts.
 """
 
+import functools
 import json
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from treelie import kernel, tree_core
@@ -139,15 +139,47 @@ class FreeTreeAlgebra(Algebra):
         return _tree_coproduct_basis(t)
 
 
-@dataclass(frozen=True, order=True)
+@functools.total_ordering
 class BasisKey:
-    """Named basis element of a presented algebra; ordered by (degree, name)."""
+    """Named basis element of a presented algebra; ordered by (degree, name).
 
-    degree: int
-    name: str
+    Immutable; equality, ordering, hash and ``repr`` are those of a frozen,
+    ordered dataclass with the fields ``degree`` and ``name``.  The hash is
+    computed once, since the structure-constant loops hash keys millions of
+    times.
+    """
+
+    __slots__ = ("degree", "name", "_hash")
+
+    def __init__(self, degree, name):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_hash", hash((degree, name)))
 
     def __str__(self):
         return self.name
+
+    def __repr__(self):
+        return "%s(degree=%r, name=%r)" % (type(self).__qualname__, self.degree, self.name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.degree, self.name) == (other.degree, other.name)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.degree, self.name) < (other.degree, other.name)
+
+    def __hash__(self):
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
 
 
 class PresentedAlgebra(Algebra):
@@ -470,17 +502,20 @@ def idempotent_e(x, alg):
 
     The sum is finite because the iterated coproduct of a connected element
     vanishes beyond its filtration degree.  Basis values are cached on the
-    algebra, so linear extension is cheap.
+    algebra, so linear extension is cheap.  A basis value is summed as n! e(t)
+    with n = degree(t): the iterates stop at k <= n, so every weight n!/k!
+    is an integer, and each term is divided by n! once at the end.
     """
     cache = alg.cache("e")
 
     def on_basis(t):
         got = cache.get(t)
         if got is None:
-            terms = {t: 1}
+            n = math.factorial(t.degree)
+            terms = {t: n}
             for k, dk in _delta_iterates(t, alg):
-                coeff = Fraction((-1) ** k, math.factorial(k))
-                accumulate(terms, ak_apply(k + 1, dk, alg).items(), coeff)
+                accumulate(terms, ak_apply(k + 1, dk, alg).items(), (-1) ** k * (n // math.factorial(k)))
+            terms = {s: c // n if c % n == 0 else Fraction(c, n) for s, c in terms.items()}
             got = cache[t] = Element._trusted(terms)
         return got
 
@@ -586,26 +621,50 @@ def heap_coefficients_recursive(k):
 # reconstruction
 
 
-@dataclass
-class DegreeReport:
-    degree: int
-    algebra_dim: int
-    tree_count: int
-    image_rank: int
-    coalgebra_ok: bool
+class Record:
+    """Field-wise equality and ``repr`` over the attributes named in
+    ``_fields``, as a dataclass generates them.  Defining ``__eq__`` alone
+    leaves a record unhashable, like a mutable dataclass."""
+
+    _fields = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self):
+        fields = ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._fields)
+        return "%s(%s)" % (type(self).__qualname__, fields)
+
+
+class DegreeReport(Record):
+    _fields = ("degree", "algebra_dim", "tree_count", "image_rank", "coalgebra_ok")
+
+    def __init__(self, degree, algebra_dim, tree_count, image_rank, coalgebra_ok):
+        self.degree = degree
+        self.algebra_dim = algebra_dim
+        self.tree_count = tree_count
+        self.image_rank = image_rank
+        self.coalgebra_ok = coalgebra_ok
 
     @property
     def isomorphic(self):
         return self.algebra_dim == self.tree_count == self.image_rank and self.coalgebra_ok
 
 
-@dataclass
-class ReconstructionReport:
-    max_degree: int
-    validation_failures: list
-    primitive_dims: dict
-    degrees: list
-    kernel_witness: str = None
+class ReconstructionReport(Record):
+    _fields = ("max_degree", "validation_failures", "primitive_dims", "degrees", "kernel_witness")
+
+    def __init__(self, max_degree, validation_failures, primitive_dims, degrees, kernel_witness=None):
+        self.max_degree = max_degree
+        self.validation_failures = validation_failures
+        self.primitive_dims = primitive_dims
+        self.degrees = degrees
+        self.kernel_witness = kernel_witness
 
     @property
     def ok(self):

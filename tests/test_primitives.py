@@ -1,14 +1,19 @@
 """Differential tests: ``primitives_basis``, now the space ``C_1 = ker Delta``
 of the coalgebra filtration, against the image of the projector e it used
-to compute (kept here as the oracle), and the check that compares them."""
+to compute (kept here as the oracle), and the check that compares them;
+and the projector's integer-weight sum against its old ``Fraction`` sum."""
+
+import math
+from fractions import Fraction
 
 import pytest
 from dense_linalg import echelon
 
 from treelie import checks, rigidity
-from treelie.freemod import Element, element_vector
+from treelie.freemod import Element, accumulate, element_vector, linear
 from treelie.rigidity import (
     FreeTreeAlgebra,
+    ak_apply,
     change_of_basis,
     free_presentation,
     idempotent_e,
@@ -68,3 +73,45 @@ def test_decomposition_check_compares_e_image_with_primitives(monkeypatch):
     result = checks.check_decomposition(4)
     assert not result.ok
     assert result.detail == "degree 2: image of e differs from ker(Delta)"
+
+
+def oracle_idempotent_e(x, alg):
+    """e(x) = x + sum_k ((-1)^k / k!) A_{k+1}(Delta^k(x)), summed with
+    ``Fraction`` weights as ``idempotent_e`` did before it summed
+    degree(t)! e(t) in integers."""
+
+    def on_basis(t):
+        terms = {t: 1}
+        for k, dk in rigidity._delta_iterates(t, alg):
+            accumulate(terms, ak_apply(k + 1, dk, alg).items(), Fraction((-1) ** k, math.factorial(k)))
+        return Element._trusted(terms)
+
+    return Element._trusted(linear(on_basis, x))
+
+
+class HalvedProducts(FreeTreeAlgebra):
+    """The free algebra with every product halved.  It is no longer pre-Lie,
+    but its A_k take non-integral values, so e's sums reach the division by
+    degree(t)! with ``Fraction`` terms."""
+
+    def product_basis(self, s, t):
+        return Element._trusted({k: Fraction(c, 2) for k, c in super().product_basis(s, t).items()})
+
+
+@pytest.mark.parametrize(
+    "alg, max_degree",
+    [
+        (FreeTreeAlgebra(["a", "b"]), 6),
+        (change_of_basis(free_presentation(["a"], 5), 7), 5),
+        (change_of_basis(free_presentation(["a", "b"], 3), 42), 3),
+        (HalvedProducts(["a", "b"]), 4),
+    ],
+)
+def test_integer_projector_matches_fraction_oracle(alg, max_degree):
+    values = []
+    for t in (k for d in range(1, max_degree + 1) for k in alg.basis(d)):
+        got = idempotent_e(Element.of(t), alg)
+        assert got == oracle_idempotent_e(Element.of(t), alg)
+        values.extend(got.terms.values())
+    assert all(type(c) is int or c.denominator != 1 for c in values)  # an int when integral
+    assert any(type(c) is Fraction for c in values) == isinstance(alg, HalvedProducts)
