@@ -7,20 +7,25 @@ Usage::
 
 Every job is a fresh ``python -m treelie.cli ...`` process with ``DIR/src``
 first on ``PYTHONPATH``; ``DIR`` defaults to the checkout this script lives
-in, so one copy of the script measures the source of any commit.  Per job it
-records the wall time, the peak RSS of the job's own process, the exit code,
-the size and SHA-256 of its stdout, and whether it finished within
-``TIMEOUT_S`` = 60 s.  A job still running then is killed and recorded as
-"did not finish"; a job that dies by a signal for any other reason (say an
+in, so one copy of the script measures the source of any commit.  The job
+list runs ``REPEATS`` = 3 times, in passes of alternating direction (first
+to last, last to first, first to last), so drift within a run reaches every
+job at both ends.  Per run of a job it records the wall time, the peak RSS
+of the job's own process, the exit code, the size and SHA-256 of its stdout,
+and whether it finished within ``TIMEOUT_S`` = 60 s; all of them are kept
+under ``runs``, and the job's own fields are those of its median-wall run.
+A job still running at ``TIMEOUT_S`` is killed and recorded as "did not
+finish"; a job that dies by a signal for any other reason (say an
 out-of-memory kill) is a failure with that negative exit code, not a
 timeout.  Linux carries the peak RSS of the forking process into its child,
 so a peak near this script's own size (about 19 MB) is an upper bound, not
-a reading.  Just before each job it times ``perfbench/reference.py`` of
-this checkout, a fixed computation that never imports treelie, and stores
-``wall_ref`` = job wall / the median reference wall of the run, so runs on
-a host whose speed drifts can be compared.  The inputs of ``reconstruct``
-are written by the measured source's own ``present`` verb into a temporary
-directory, untimed.
+a reading.  Just before each run of a job it times
+``perfbench/reference.py`` of this checkout, a fixed computation that never
+imports treelie, and stores ``wall_ref`` = median job wall / the median
+reference wall of the run, so runs on a host whose speed drifts can be
+compared.  The inputs of
+``reconstruct`` are written once, untimed, by the measured source's own
+``present`` verb into a temporary directory.
 
 The result, with the git sha of ``DIR`` (and whether ``src/`` differs from
 it) and the Python version, is stored
@@ -44,6 +49,8 @@ CHECKOUT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REFERENCE = os.path.join(CHECKOUT, "perfbench", "reference.py")
 # the headline is the largest degree that finishes within this many seconds
 TIMEOUT_S = 60
+# passes over the job list; each job keeps its median run
+REPEATS = 3
 
 # (name, CLI arguments, presentation to write first as (alphabet, degree));
 # "{input}" in the arguments is that presentation's file.  The first job does
@@ -111,25 +118,34 @@ def git(repo, *args):
 def bench(repo, workdir):
     env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
     cli = [sys.executable, "-m", "treelie.cli"]
-    jobs = []
+    argvs = []
     for name, args, present in JOBS:
         if present:
             alphabet, n = present
             path = os.path.join(workdir, "%s-%d.json" % (alphabet.replace(",", ""), n))
             subprocess.run(cli + ["present", alphabet, str(n), "-o", path], env=env, check=True)
             args = [path if a == "{input}" else a for a in args]
-        job = {"name": name, "ref_s": run_process([sys.executable, REFERENCE], env)["wall_s"]}
-        job.update(run_process(cli + args, env))
-        jobs.append(job)
-        status = ""
-        if not job["finished"]:
-            status = "  did not finish"
-        elif job["exit"]:
-            status = "  exit %d" % job["exit"]
-        print("%-32s %8.2f s %8.1f MB  (reference %.3f s)%s" % (
-            name, job["wall_s"], job["peak_rss_mb"], job["ref_s"], status), file=sys.stderr)
+        argvs.append(cli + args)
+    runs = [[] for _ in JOBS]
+    for rep in range(REPEATS):
+        order = range(len(JOBS)) if rep % 2 == 0 else range(len(JOBS) - 1, -1, -1)
+        for k in order:
+            run = {"ref_s": run_process([sys.executable, REFERENCE], env)["wall_s"]}
+            run.update(run_process(argvs[k], env))
+            runs[k].append(run)
+            status = ""
+            if not run["finished"]:
+                status = "  did not finish"
+            elif run["exit"]:
+                status = "  exit %d" % run["exit"]
+            print("%d %-32s %8.2f s %8.1f MB  (reference %.3f s)%s" % (
+                rep + 1, JOBS[k][0], run["wall_s"], run["peak_rss_mb"], run["ref_s"], status), file=sys.stderr)
+    jobs = [
+        dict(sorted(job_runs, key=lambda r: r["wall_s"])[REPEATS // 2], name=name, runs=job_runs)
+        for (name, _, _), job_runs in zip(JOBS, runs)
+    ]
     # one slow or fast reference run must not scale its job alone
-    ref = statistics.median(job["ref_s"] for job in jobs)
+    ref = statistics.median(r["ref_s"] for job in jobs for r in job["runs"])
     for job in jobs:
         job["wall_ref"] = round(job["wall_s"] / ref, 2)
     return {
@@ -139,6 +155,7 @@ def bench(repo, workdir):
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "timeout_s": TIMEOUT_S,
+        "repeats": REPEATS,
         "ref_median_s": ref,
         "jobs": jobs,
     }

@@ -9,6 +9,7 @@ error, 3 validation failure, 4 I/O error.
 """
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -35,6 +36,8 @@ MAX_HEAP = 10
 # The k-th iterated coproduct, k >= 2, grows like k! in the number of root
 # subtrees; Delta^0 and Delta^1 are linear in the tree and stay unlimited.
 MAX_COPRODUCT_DEGREE = 9
+# ``enumerate`` writes its lines in chunks of this many, one ``print`` each.
+ENUMERATE_CHUNK = 4096
 
 
 def _build_parser():
@@ -196,9 +199,10 @@ def cmd_enumerate(args, parser):
             print("error: %s" % exc, file=sys.stderr)
             return EXIT_USAGE
     count = 0
-    for item in items:
-        print(item)
-        count += 1
+    items = iter(items)
+    for chunk in iter(lambda: [str(item) for item in itertools.islice(items, ENUMERATE_CHUNK)], []):
+        print("\n".join(chunk))
+        count += len(chunk)
     print("count: %d" % count, file=sys.stderr)
     return EXIT_OK
 

@@ -58,11 +58,11 @@ def render_rational(c):
 def accumulate(acc, items, scale=1):
     """Add ``scale * c`` into ``acc[key]`` for every ``(key, c)`` in ``items``,
     dropping keys whose sum becomes zero; returns ``acc``."""
-    if scale != 1:
-        items = ((k, scale * c) for k, c in items)
+    if scale == 1:
+        scale = 1  # an int, so integer coefficients stay int: Fraction(1) * 3 is a Fraction
     get = acc.get
     for k, c in items:
-        v = get(k, 0) + c
+        v = get(k, 0) + scale * c
         if v:
             acc[k] = v
         else:

@@ -3,7 +3,16 @@
 Every hot tree operation of the package (canonicalization, grafting,
 coproduct splitting) lives here, in pure Python.  ``BACKEND`` names the
 implementation for reports such as the benchmark's environment line.
+
+Trees are hash-consed (Filliâtre & Conchon, "Type-safe modular
+hash-consing", 2006): one table maps a leaf's label, or a node's
+``(label, sorted child tuple)``, to the one tree of that shape.  The
+children in such a key are themselves interned, so the key hashes and
+compares by their identities without descending into them, and equal trees
+are the same object: dicts and sets of trees hash and compare by identity.
 """
+
+from operator import attrgetter
 
 BACKEND = "python"
 
@@ -14,35 +23,23 @@ class Tree:
     """Canonical unordered rooted tree with string vertex labels.
 
     Children are stored as a tuple sorted by canonical rendering, so the
-    rendering ``key`` is a complete isomorphism invariant: two trees are
-    equal iff their keys are equal.  Instances are interned by key and
-    immutable; build them with :func:`leaf` and :func:`node`, never by
-    calling ``Tree`` directly.
+    rendering ``key`` is a complete isomorphism invariant.  Instances are
+    interned and immutable, so two trees are equal iff they are the same
+    object; build them with :func:`leaf` and :func:`node`, never by calling
+    ``Tree`` directly.
     """
 
-    __slots__ = ("label", "children", "key", "degree", "_hash")
+    __slots__ = ("label", "children", "key", "degree")
 
     def __init__(self, label, children, key, degree):
         self.label = label
         self.children = children
         self.key = key
         self.degree = degree
-        self._hash = hash(key)
 
     @property
     def arity(self):
         return len(self.children)
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return isinstance(other, Tree) and self.key == other.key
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     # Graded order (degree first) so sorted term listings read degree by degree.
     def __lt__(self, other):
@@ -65,7 +62,7 @@ class Tree:
 
 
 def leaf(label):
-    """The one-vertex tree with the given label."""
+    """The one-vertex tree with the given label; interned under the label."""
     t = _INTERN.get(label)
     if t is None:
         t = Tree(label, (), label, 1)
@@ -73,24 +70,25 @@ def leaf(label):
     return t
 
 
+_by_key = attrgetter("key")
+
+
 def node(label, children):
-    """Tree with root ``label`` and the given child subtrees (any order)."""
-    kids = sorted(children, key=_child_key)
+    """Tree with root ``label`` and the given child subtrees (any order),
+    interned under ``(label, children sorted by key)``; its rendering is
+    built only when the tree is new."""
+    kids = tuple(sorted(children, key=_by_key))
     if not kids:
         return leaf(label)
-    key = label + "[" + ",".join([c.key for c in kids]) + "]"
-    t = _INTERN.get(key)
+    shape = (label, kids)
+    t = _INTERN.get(shape)
     if t is None:
         degree = 1
         for c in kids:
             degree += c.degree
-        t = Tree(label, tuple(kids), key, degree)
-        _INTERN[key] = t
+        t = Tree(label, kids, label + "[" + ",".join([c.key for c in kids]) + "]", degree)
+        _INTERN[shape] = t
     return t
-
-
-def _child_key(t):
-    return t.key
 
 
 def graft_at(host, index, shoot):
@@ -157,4 +155,5 @@ def coproduct_counts(t):
 
 
 def intern_size():
+    """Number of distinct trees built so far."""
     return len(_INTERN)

@@ -55,7 +55,15 @@ def pl_parents(p, i, q):
     children of vertex i to the vertices of ``q``, coefficients all 1.  The
     all-to-the-root map gives the permutative summand."""
     base, moved = _substitute(p, i, q)
+    if not moved:
+        return {tuple(base): 1}
     out = {}
+    if len(moved) == 1:
+        (pos,) = moved
+        for target in range(i, i + len(q)):
+            base[pos] = target
+            out[tuple(base)] = 1
+        return out
     # distinct target maps give distinct parent arrays, so no term repeats
     for targets in itertools.product(range(i, i + len(q)), repeat=len(moved)):
         for pos, target in zip(moved, targets):

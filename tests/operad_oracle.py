@@ -2,7 +2,9 @@
 
 The compositions as they were written on ``LabeledTree`` before the kernels
 on parent tuples (closures for the block relabeling, one vertex at a time),
-here with every tree built by the validating constructor,
+here with every tree built by the validating constructor; ``pl_parents``
+with one generic loop over all target maps, before its direct paths for no
+and for one moved child;
 ``act_element``, and the operad axiom walk as it was written before
 ``check_operad_axioms`` returned its outcomes and composed each ``t o_i s``
 once: a seven-deep loop nest that recomputes every composition where it is
@@ -13,7 +15,7 @@ import itertools
 
 from treelie import tree_core
 from treelie.freemod import Element
-from treelie.operads import as_element, compose_elements, compose_permutation, unit
+from treelie.operads import _substitute, as_element, compose_elements, compose_permutation, unit
 from treelie.tree_core import LabeledTree, act
 
 
@@ -70,6 +72,18 @@ def pl_compose(t, i, s):
         for c, target in zip(children, targets):
             parent[host(c) - 1] = sub(target)
         out = out + Element.of(LabeledTree(tuple(parent)))
+    return out
+
+
+def pl_parents(p, i, q):
+    """Pre-Lie composition of parent tuples, every case through one product
+    over the maps from the moved children to the vertices of ``q``."""
+    base, moved = _substitute(p, i, q)
+    out = {}
+    for targets in itertools.product(range(i, i + len(q)), repeat=len(moved)):
+        for pos, target in zip(moved, targets):
+            base[pos] = target
+        out[tuple(base)] = 1
     return out
 
 

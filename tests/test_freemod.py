@@ -216,6 +216,43 @@ def test_accumulate_matches_repeated_tensor_addition(summands, cancel):
     _check_block_sums(summands, cancel, TensorElement(2))
 
 
+def _generator_accumulate(acc, items, scale=1):
+    """``accumulate`` as written before its one multiplying loop: a scaling generator
+    over the items whenever ``scale != 1``."""
+    if scale != 1:
+        items = ((k, scale * c) for k, c in items)
+    get = acc.get
+    for k, c in items:
+        v = get(k, 0) + c
+        if v:
+            acc[k] = v
+        else:
+            acc.pop(k, None)
+    return acc
+
+
+int_elements = st.builds(
+    Element, st.dictionaries(st.sampled_from(POOL), st.integers(-4, 4), max_size=4)
+)
+scales = st.one_of(st.just(1), st.just(-1), st.just(Fraction(1)), st.integers(-6, 6), rationals)
+
+
+@settings(max_examples=150)
+@given(st.lists(st.tuples(st.one_of(elements, int_elements), scales), max_size=6), st.integers(0, 6))
+def test_accumulate_matches_generator_formula(summands, cancel):
+    # the negated first ``cancel`` summands make part or all of the sum vanish
+    everything_cancels = cancel >= len(summands)
+    summands = summands + [(x, -c) for x, c in summands[:cancel]]
+    acc, old = {}, {}
+    for x, c in summands:
+        assert accumulate(acc, x.items(), c) is acc
+        _generator_accumulate(old, x.items(), c)
+        # same keys in the same order, same values of the same types
+        assert [(k, v, type(v)) for k, v in acc.items()] == [(k, v, type(v)) for k, v in old.items()]
+    if everything_cancels:
+        assert acc == {}
+
+
 def _trusted_equals_public(summands, cancel, make_public, make_trusted):
     summands = summands + [(x, -c) for x, c in summands[:cancel]]
     acc = {}

@@ -8,7 +8,9 @@ regenerate them after a deliberate output change, run
 
 import contextlib
 import io
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -17,6 +19,7 @@ from treelie import cli
 from treelie.rigidity import change_of_basis, free_presentation
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+SRC = pathlib.Path(__file__).parent.parent / "src"
 
 
 def _present(alphabet, degree):
@@ -63,6 +66,41 @@ def test_golden_stdout(name, tmp_path):
     code, out = run_case(name, tmp_path)
     assert code == 0
     assert out.encode() == (GOLDEN / (name + ".txt")).read_bytes()
+
+
+# Verbs whose stdout must not depend on PYTHONHASHSEED: trees hash by
+# identity and strings by a per-process seed, so any output that followed
+# the iteration order of a set or dict of trees would differ between these
+# runs.  Each name is a case above (compared with its golden file as well) or,
+# for ``check_all_4_42``, has no golden file.
+HASH_SEED_CASES = {
+    "check_all_4_42": (["check", "all", "4", "42"], None),
+    **{name: CASES[name] for name in (
+        "product_prelie", "coproduct_3", "e", "enumerate_trees_ab_5", "reconstruct_twisted_a_4_seed7")},
+}
+
+
+def _run_with_hash_seed(argv, seed):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env.update(PYTHONPATH=str(SRC), PYTHONHASHSEED=str(seed))
+    proc = subprocess.run([sys.executable, "-m", "treelie.cli", *argv], env=env, capture_output=True)
+    return proc.returncode, proc.stdout
+
+
+@pytest.mark.parametrize("name", sorted(HASH_SEED_CASES))
+def test_stdout_does_not_depend_on_the_hash_seed(name, tmp_path):
+    argv, make_input = HASH_SEED_CASES[name]
+    if make_input is not None:
+        path = tmp_path / (name + ".json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            make_input(path)
+        argv = [a.replace("{file}", str(path)) for a in argv]
+    first = _run_with_hash_seed(argv, 0)
+    assert first[0] == 0
+    assert _run_with_hash_seed(argv, 2718281) == first
+    golden = GOLDEN / (name + ".txt")
+    if golden.exists():
+        assert first[1] == golden.read_bytes()
 
 
 if __name__ == "__main__":

@@ -1,10 +1,16 @@
 """The tree kernel: canonical forms, grafting, splitting and graded order."""
 
+import itertools
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from kernel_oracle import key_eq, key_hash
 
 from treelie import kernel
+from treelie.tree_core import enumerate_trees, parse_tree
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -54,7 +60,7 @@ def test_kernel_behaviour():
     assert kernel.coproduct_terms(a) == []
     pairs = kernel.coproduct_terms(kernel.node("a", [b, b]))
     assert len(pairs) == 2 and pairs[0] == pairs[1]
-    # interning: equal values are the same object, equality falls back to keys
+    # hash-consing: equal values are the same object
     assert kernel.node("a", [b]) is ab
     assert hash(kernel.node("a", [b])) == hash(ab)
 
@@ -65,3 +71,82 @@ def test_kernel_ordering_is_graded():
     az = kernel.node("a", [z])
     assert a < z < az
     assert sorted([az, a, z]) == [a, z, az]
+
+
+SMALL = [t for d in range(1, 6) for t in enumerate_trees(["a", "b"], d)]
+
+
+def _assert_hash_consed(t):
+    """Every order of the children rebuilds ``t`` itself, and so does
+    parsing its rendering."""
+    for kids in itertools.permutations(t.children):
+        assert kernel.node(t.label, kids) is t
+        assert kernel.node(t.label, list(kids)) is t
+    assert parse_tree(str(t)) is t
+
+
+def test_every_small_tree_is_hash_consed():
+    assert len(SMALL) == 2 + 4 + 14 + 52 + 214
+    for t in SMALL:
+        _assert_hash_consed(t)
+
+
+def test_identity_equality_agrees_with_key_equality():
+    for t, s in itertools.product(SMALL, repeat=2):
+        same = key_eq(t, s)
+        assert (t is s) == same and (t == s) == same and (t != s) == (not same)
+        if same:
+            assert hash(t) == hash(s) and key_hash(t) == key_hash(s)
+    assert all(t != t.key and t.key != t for t in SMALL)
+
+
+def test_sorted_order_is_the_graded_key_order():
+    shuffled = list(SMALL)
+    random.Random(5).shuffle(shuffled)
+    graded = sorted(SMALL, key=lambda t: (t.degree, t.key))
+    assert sorted(shuffled) == graded
+    assert sorted(shuffled, reverse=True) == graded[::-1]
+    assert min(shuffled) is graded[0] and max(shuffled) is graded[-1]
+
+
+def test_intern_size_counts_trees():
+    before = kernel.intern_size()
+    t = kernel.node("hashconsing_root", [kernel.leaf("hashconsing_leaf")])
+    assert kernel.intern_size() == before + 2
+    assert kernel.node("hashconsing_root", [kernel.leaf("hashconsing_leaf")]) is t
+    assert kernel.intern_size() == before + 2
+
+
+@st.composite
+def nested_shapes(draw, max_vertices):
+    """A tree as nested ``(label, [children])`` lists, children in the order
+    drawn, with at most ``max_vertices`` vertices."""
+    budget = [draw(st.integers(1, max_vertices))]
+
+    def build():
+        budget[0] -= 1
+        label = draw(st.sampled_from("abc"))
+        children = []
+        while budget[0] > 0 and draw(st.booleans()):
+            children.append(build())
+        return (label, children)
+
+    return build()
+
+
+def _build(shape, rng=None):
+    label, children = shape
+    kids = [_build(c, rng) for c in children]
+    if rng is not None:
+        rng.shuffle(kids)
+    return kernel.node(label, kids)
+
+
+@settings(max_examples=150)
+@given(nested_shapes(14), nested_shapes(14), st.randoms(use_true_random=False))
+def test_random_trees_are_hash_consed(x, y, rng):
+    t, s = _build(x), _build(y)
+    assert _build(x, rng) is t and _build(y, rng) is s
+    assert parse_tree(str(t)) is t and parse_tree(str(s)) is s
+    assert (t is s) == key_eq(t, s) == (t == s)
+    assert (t < s) == ((t.degree, t.key) < (s.degree, s.key))

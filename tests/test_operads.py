@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import operad_oracle as oracle
@@ -59,6 +60,28 @@ def test_compositions_match_oracle():
 @given(labeled_trees(5), labeled_trees(5), st.data())
 def test_compositions_of_random_trees_match_oracle(t, s, data):
     _assert_wrappers_match_oracle(t, data.draw(st.integers(1, t.n)), s)
+
+
+def _assert_pl_parents_matches_oracle(p, i, q):
+    got = O.pl_parents(p, i, q)
+    assert list(got.items()) == list(oracle.pl_parents(p, i, q).items())  # same terms, same order
+    return p.count(i)  # children of vertex i, which move onto q
+
+
+def test_pl_parents_matches_generic_oracle():
+    every = [t.parent for n in range(1, 4) for t in enumerate_labeled(n)]
+    moved = collections.Counter()
+    for p, q in itertools.product(every, repeat=2):
+        for i in range(1, len(p) + 1):
+            moved[min(_assert_pl_parents_matches_oracle(p, i, q), 2)] += 1
+    # every direct path and the generic loop are exercised
+    assert set(moved) == {0, 1, 2} and min(moved.values()) > 10
+
+
+@settings(max_examples=200)
+@given(labeled_trees(5), labeled_trees(5), st.data())
+def test_pl_parents_of_random_trees_matches_generic_oracle(t, s, data):
+    _assert_pl_parents_matches_oracle(t.parent, data.draw(st.integers(1, t.n)), s.parent)
 
 
 def test_pl_compose_mu_mu():
