@@ -156,10 +156,11 @@ def check_freeness_dimensions(max_degree):
     return _run("one-generator dimensions match the counting recursion", cases())
 
 
-def _rooted_tree_counts(n_max):
-    """Independent count of unlabeled rooted trees by the Euler-transform
-    recursion a(n+1) = (1/n) sum_k (sum_{d|k} d a(d)) a(n-k+1)."""
-    a = [0, 1]
+def _rooted_tree_counts(n_max, letters=1):
+    """Independent count of rooted trees of degree 1..n_max with vertices
+    labeled from ``letters`` letters, by the Euler-transform recursion
+    a(n+1) = (1/n) sum_k (sum_{d|k} d a(d)) a(n-k+1) from a(1) = letters."""
+    a = [0, letters]
     for n in range(1, n_max):
         s = 0
         for k in range(1, n + 1):

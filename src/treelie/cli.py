@@ -36,6 +36,17 @@ MAX_HEAP = 10
 # The k-th iterated coproduct, k >= 2, grows like k! in the number of root
 # subtrees; Delta^0 and Delta^1 are linear in the tree and stay unlimited.
 MAX_COPRODUCT_DEGREE = 9
+# ``enumerate trees`` builds every tree of the degree before printing one, in
+# about 5-6 s and 220 MB for the 433,196 trees of ``a,b 10``; each further
+# degree costs about 5x.  Rooted tree counts never fall as the degree grows,
+# and one letter has 634,847 trees of degree 17, so the count is taken at
+# degree 17 at most.
+MAX_TREES = 500_000
+# ``reconstruct FILE N`` enumerates the trees on the primitives in every
+# degree up to N, in time quadratic in N even for a one-name document (3.2 s
+# at N = 4000 on a 2-vCPU host); ``present a 14`` (48 MB of JSON) is the
+# largest free presentation in use.
+MAX_RECONSTRUCT_DEGREE = 64
 # ``enumerate`` writes its lines in chunks of this many, one ``print`` each.
 ENUMERATE_CHUNK = 4096
 
@@ -145,6 +156,10 @@ def cmd_reconstruct(args):
     if args.max_degree < 1:
         print("max_degree must be >= 1", file=sys.stderr)
         return EXIT_USAGE
+    if args.max_degree > MAX_RECONSTRUCT_DEGREE:
+        message = "max_degree %d exceeds the reconstruct limit %d" % (args.max_degree, MAX_RECONSTRUCT_DEGREE)
+        print(message, file=sys.stderr)
+        return EXIT_USAGE
     try:
         alg = rigidity.PresentedAlgebra.load(args.file)
     except OSError as exc:
@@ -175,6 +190,10 @@ def cmd_enumerate(args, parser):
             degree = int(args.params[1])
         except ValueError:
             parser.error("DEGREE must be an integer")
+        if degree >= 1 and checks._rooted_tree_counts(min(degree, 17), len(set(alphabet)))[-1] > MAX_TREES:
+            message = "degree %d on %s exceeds the enumerate trees limit of %d trees"
+            print(message % (degree, args.params[0], MAX_TREES), file=sys.stderr)
+            return EXIT_USAGE
         try:
             items = tree_core.enumerate_trees(alphabet, degree)
         except ValueError as exc:

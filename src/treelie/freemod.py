@@ -19,7 +19,8 @@ sparse elimination kernel (``rref`` over rows stored as ``{column: coeff}``
 dicts, with remainders and nullspaces built on it) under the dense
 list-of-lists ``echelon``/``nullspace``/``invert_matrix``, and ``Filtration``,
 the coalgebra filtration of a graded basis, built once and queried per
-element.
+element: each degree's coproducts and tensor spans share one map from the
+pairs of keys they meet to sparse column ids.
 """
 
 import math
@@ -500,12 +501,12 @@ class Filtration:
     ``sum_i C_i (x) C_{n-i}``.  ``coproduct`` maps a basis key to a rank-2
     TensorElement and ``basis`` maps a degree to the full list of basis keys
     in that degree.  The coproduct images of a degree are laid out once, on
-    first use, as sparse rows: a pair ``(u, v)`` of basis keys of degrees
-    ``(d1, d2)`` sits in the bidegree block ``(d1, d2)`` at column
-    ``i * dim H_d2 + j`` for the indices ``i, j`` of ``u, v``, and every other
-    (stray: off-block or out-of-basis) pair gets a column of its own.  Stray coordinates are kept
-    as genuine extra coordinates, so an ungraded coproduct correctly
-    excludes an element from every ``C_n``.
+    first use, as sparse rows over one column map: every pair ``(u, v)`` the
+    coproducts meet gets the next column id, in the order met.  The tensor
+    spans are built in the same columns, over every pair of basis degrees the
+    coproducts meet, and add the pairs only they reach.  A pair no span row
+    reaches (off the basis, or above ``max_degree``) is never reduced, so an
+    ungraded coproduct correctly excludes an element from every ``C_n``.
 
     The reduced echelon forms of the spaces ``C_n`` within ``H_d`` are
     computed on first use and kept, so one Filtration answers ``degree_of``
@@ -519,32 +520,16 @@ class Filtration:
         self._coproduct = coproduct
         self._bases = {d: list(basis(d)) for d in range(1, max_degree + 1)}
         self._index = {d: {k: i for i, k in enumerate(keys)} for d, keys in self._bases.items()}
-        self._layouts = {}  # d -> one (block -> sparse part, sparse stray part) per basis key
+        self._layouts = {}  # d -> (column map {(u, v): id}, one sparse coproduct row per basis key)
         self._spaces = {}  # (n, d) -> rref of C_n within H_d
 
-    def _locate(self, key):
-        i = self._index.get(key.degree, {}).get(key)
-        return (key.degree, i) if i is not None else None
-
-    def _layout(self, d):
-        got = self._layouts.get(d)
-        if got is None:
-            got = self._layouts[d] = self._lay_out(d)
-        return got
-
     def _lay_out(self, d):
-        strays = {}
-        rows = []
-        for t in map(self._coproduct, self._bases[d]):
-            blocks, stray = {}, {}
-            for (u, v), c in t.items():
-                lu, lv = self._locate(u), self._locate(v)
-                if lu is not None and lv is not None:
-                    blocks.setdefault((lu[0], lv[0]), {})[lu[1] * len(self._bases[lv[0]]) + lv[1]] = c
-                else:
-                    stray[strays.setdefault((u, v), len(strays))] = c
-            rows.append((blocks, stray))
-        return rows
+        if d not in self._layouts:
+            columns = {}
+            deltas = map(self._coproduct, self._bases[d])
+            rows = [{columns.setdefault(pair, len(columns)): c for pair, c in t.items()} for t in deltas]
+            self._layouts[d] = (columns, rows)
+        return self._layouts[d]
 
     def _space(self, n, d):
         """Reduced echelon form of ``C_n`` within ``H_d``, as from ``rref``."""
@@ -559,33 +544,31 @@ class Filtration:
             below = self._space(n - 1, d)
             if len(below) == dim:
                 return below  # C_{n-1} lies in C_n, so C_n holds all of H_d
-        # the coproduct rows reduced modulo the tensor spans, transposed:
-        # one row per coordinate, indexed by the basis keys of H_d
-        columns = {}
-        spans = {}
-        for i, (blocks, stray) in enumerate(self._layout(d)):
-            for block, part in blocks.items():
-                if n > 1:
-                    span = spans.get(block)
-                    if span is None:
-                        span = spans[block] = self._tensor_span(n, *block)
-                    part = reduce_row(part, span)
-                for c, v in part.items():
-                    columns.setdefault((block, c), {})[i] = v
-            for c, v in stray.items():
-                columns.setdefault(c, {})[i] = v
-        return rref(sparse_nullspace(columns.values(), dim))
+        columns, rows = self._lay_out(d)
+        if n > 1:
+            span = self._tensor_span(n, columns)
+            rows = [reduce_row(row, span) for row in rows]
+        # the reduced coproduct rows transposed: one row per column, indexed
+        # by the basis keys of H_d
+        transposed = {}
+        for i, row in enumerate(rows):
+            for c, v in row.items():
+                transposed.setdefault(c, {})[i] = v
+        return rref(sparse_nullspace(transposed.values(), dim))
 
-    def _tensor_span(self, n, d1, d2):
-        """Reduced echelon form of ``sum_i C_i (x) C_{n-i}`` within ``H_d1 (x) H_d2``."""
-        width = len(self._bases[d2])
+    def _tensor_span(self, n, columns):
+        """Reduced echelon form of ``sum_i C_i (x) C_{n-i}`` in the ids of
+        ``columns``, over every pair of basis degrees its pairs meet."""
+        bases = self._bases
+        blocks = sorted({(u.degree, v.degree) for u, v in columns if u.degree in bases and v.degree in bases})
         rows = []
-        for i in range(1, n):
-            right = self._space(n - i, d2).values()
-            for lv in self._space(i, d1).values():
-                rows.extend(
-                    {a * width + b: x * y for a, x in lv.items() for b, y in rv.items()} for rv in right
-                )
+        for d1, d2 in blocks:
+            left, right = bases[d1], bases[d2]
+            for i in range(1, n):
+                for lv in self._space(i, d1).values():
+                    for rv in self._space(n - i, d2).values():
+                        terms = ((left[a], right[b], x * y) for a, x in lv.items() for b, y in rv.items())
+                        rows.append({columns.setdefault((u, v), len(columns)): c for u, v, c in terms})
         return rref(rows)
 
     def space(self, n, d):

@@ -21,6 +21,7 @@ import functools
 import json
 import math
 import random
+import reprlib
 from fractions import Fraction
 
 from treelie import kernel, tree_core
@@ -269,17 +270,22 @@ class PresentedAlgebra(Algebra):
         if not isinstance(doc, dict):
             raise ValueError("presented algebra document must be a JSON object")
         try:
-            generators = {int(d): list(names) for d, names in doc.get("generators", {}).items()}
+            generators = {}
+            for d, names in doc.get("generators", {}).items():
+                if type(names) is not list or not set(map(type, names)) <= {str}:
+                    raise _malformed("generators of degree %s" % d, "an array of strings", names)
+                generators[int(d)] = names
             named = []  # every name a term mentions, checked even if its sum is zero
             product = {}
             for a, by_right in doc.get("product", {}).items():
                 for b, terms in by_right.items():
+                    terms = _terms(terms, 2, "product of %r and %r", a, b)
                     pairs = [(name, parse_rational(c)) for c, name in terms]
                     named.extend(name for name, _ in pairs)
                     product[(a, b)] = accumulate({}, pairs)
             coproduct = {}
             for a, terms in doc.get("coproduct", {}).items():
-                pairs = [((u, v), parse_rational(c)) for c, u, v in terms]
+                pairs = [((u, v), parse_rational(c)) for c, u, v in _terms(terms, 3, "coproduct of %r", a)]
                 named.extend(name for pair, _ in pairs for name in pair)
                 coproduct[a] = accumulate({}, pairs)
         except (TypeError, ValueError, AttributeError) as exc:
@@ -301,7 +307,25 @@ class PresentedAlgebra(Algebra):
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValueError("invalid JSON in %s: %s" % (path, exc)) from exc
+            except RecursionError as exc:
+                raise ValueError("JSON nested too deeply in %s" % path) from exc
         return cls.from_json(doc)
+
+
+def _malformed(where, expected, value):
+    return ValueError("%s: expected %s, got %s" % (where, expected, reprlib.repr(value)))
+
+
+def _terms(terms, width, where, *keys):
+    """``terms``, checked to be a JSON array of arrays of ``width`` strings
+    (``where % keys`` names it in the error): a string or object in place of
+    an array would be misread item by item."""
+    if type(terms) is not list:
+        raise _malformed(where % keys, "an array of terms", terms)
+    for t in terms:
+        if type(t) is not list or len(t) != width or not set(map(type, t)) <= {str}:
+            raise _malformed("a term of the " + where % keys, "an array of %d strings" % width, t)
+    return terms
 
 
 def free_presentation(alphabet, max_degree):

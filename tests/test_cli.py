@@ -149,6 +149,9 @@ def _must_not_start(*args, **kwargs):
     raise AssertionError("a job over the size limit must not start")
 
 
+TREES_LIMIT = " exceeds the enumerate trees limit of 500000 trees\n"
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -160,9 +163,18 @@ def _must_not_start(*args, **kwargs):
         (("coproduct", "r[a,b,c,d,e,f,g,h,i]", "2"), "degree 10 exceeds the coproduct limit 9 for k >= 2\n"),
         (("coproduct", "r[a,b,c,d,e,f,g,h,i]", "8"), "degree 10 exceeds the coproduct limit 9 for k >= 2\n"),
         (("coproduct", _chain(256), "2"), "degree 256 exceeds the coproduct limit 9 for k >= 2\n"),
+        (("reconstruct", "doc.json", "65"), "max_degree 65 exceeds the reconstruct limit 64\n"),
+        (("reconstruct", "doc.json", "1000000"), "max_degree 1000000 exceeds the reconstruct limit 64\n"),
+        (("enumerate", "trees", "a,b", "11"), "degree 11 on a,b" + TREES_LIMIT),
+        (("enumerate", "trees", "a", "17"), "degree 17 on a" + TREES_LIMIT),
+        (("enumerate", "trees", "a,a", "17"), "degree 17 on a,a" + TREES_LIMIT),
+        (("enumerate", "trees", "a,b,c,d,e,f", "8"), "degree 8 on a,b,c,d,e,f" + TREES_LIMIT),
+        (("enumerate", "trees", "a", "1000000000"), "degree 1000000000 on a" + TREES_LIMIT),
     ],
 )
 def test_size_limits_exit_2_before_any_work(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(rigidity.PresentedAlgebra, "load", _must_not_start)
+    monkeypatch.setattr(tree_core, "enumerate_trees", _must_not_start)
     monkeypatch.setattr(cli, "delta_k", _must_not_start)
     monkeypatch.setattr(tree_core, "iter_labeled", _must_not_start)
     monkeypatch.setattr(tree_core, "iter_heap_ordered", _must_not_start)
@@ -180,6 +192,17 @@ def test_sizes_inside_the_limits_are_accepted(capsys, monkeypatch):
     assert run_cli(capsys, "enumerate", "labeled", "11")[:2] == (0, "labeled 11\n")
     assert run_cli(capsys, "enumerate", "heap", "10")[:2] == (0, "heap 10\n")
     assert run_cli(capsys, "check", "all", "8")[:2] == (0, "ok all 8\n1/1 checks passed\n")
+    # the counting recursion admits a,b 10 (433,196 trees) and a 16 (235,381)
+    monkeypatch.setattr(tree_core, "enumerate_trees", lambda alphabet, d: ["%s %d" % (",".join(alphabet), d)])
+    assert run_cli(capsys, "enumerate", "trees", "a,b", "10")[:2] == (0, "a,b 10\n")
+    assert run_cli(capsys, "enumerate", "trees", "a", "16")[:2] == (0, "a 16\n")
+
+    def unreadable(path):
+        raise OSError("not read: %s" % path)
+
+    # max_degree 64 passes the limit and reaches the file
+    monkeypatch.setattr(rigidity.PresentedAlgebra, "load", unreadable)
+    assert run_cli(capsys, "reconstruct", "doc.json", "64") == (4, "", "i/o error: not read: doc.json\n")
     monkeypatch.setattr(rigidity, "idempotent_e", lambda x, alg: x)
     assert run_cli(capsys, "e", "a[b,c,d,e,f,g]")[:2] == (0, "1 * a[b,c,d,e,f,g]\n")
     # the coproduct limit binds only for k >= 2: a 9-vertex tree at any k,
@@ -237,6 +260,48 @@ def test_reconstruct_malformed_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "reconstruct", str(path), "4")
     assert code == 2
     assert "format error" in err
+
+
+GENERATORS_NOT_STRINGS = "generators of degree 1: expected an array of strings, got "
+PRODUCT = '{"generators": {"1": ["a", "b"], "2": ["c"]}, "product": {"a": {"a": %s}}}'
+COPRODUCT = '{"generators": {"1": ["x"], "2": ["y"]}, "coproduct": {"y": %s}}'
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"generators": {"1": [["x"]]}}', GENERATORS_NOT_STRINGS + "[['x']]"),
+        ('{"generators": {"1": "ab"}}', GENERATORS_NOT_STRINGS + "'ab'"),
+        ('{"generators": {"1": {"x": 1}}}', GENERATORS_NOT_STRINGS + "{'x': 1}"),
+        ('{"generators": {"1": "ab"}, "product": {"a": {"a": ["1b"]}}}', GENERATORS_NOT_STRINGS + "'ab'"),
+        (
+            PRODUCT % '["1b"]',
+            "a term of the product of 'a' and 'a': expected an array of 2 strings, got '1b'",
+        ),
+        (PRODUCT % '"1b"', "product of 'a' and 'a': expected an array of terms, got '1b'"),
+        (COPRODUCT % '["1xx"]', "a term of the coproduct of 'y': expected an array of 3 strings, got '1xx'"),
+        (
+            PRODUCT % '[["1", "a"], ["1", 7]]',
+            "a term of the product of 'a' and 'a': expected an array of 2 strings, got ['1', 7]",
+        ),
+        (
+            COPRODUCT % '[["1", "x", ["x"]]]',
+            "a term of the coproduct of 'y': expected an array of 3 strings, got ['1', 'x', ['x']]",
+        ),
+    ],
+)
+def test_reconstruct_malformed_document_exits_2_with_one_line(tmp_path, capsys, text, message):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "reconstruct", str(path), "1")
+    assert (code, out, err) == (2, "", "format error: malformed presented algebra document: %s\n" % message)
+
+
+def test_reconstruct_deeply_nested_json_exits_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000)
+    code, out, err = run_cli(capsys, "reconstruct", str(path), "1")
+    assert (code, out, err) == (2, "", "format error: JSON nested too deeply in %s\n" % path)
 
 
 def test_present_rejects_bad_alphabet(capsys):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treelie import checks, cli, rigidity, tree_core
-from treelie.freemod import Element, Filtration, TensorElement, element_vector, filtration_degree
+from treelie.freemod import Element, Filtration, TensorElement, accumulate, element_vector, filtration_degree
 from treelie.nap_coalgebra import coproduct_basis
 from treelie.tree_core import parse_tree
 
@@ -201,6 +201,49 @@ def test_ungraded_coproduct_with_strays_matches_oracle():
         assert Filtration(ungraded, alg.basis, x.max_degree()).degree_of(x) == expected
         assert filtration_degree(x, ungraded, alg.basis) == expected
     assert math.inf in seen and 1 in seen
+
+
+SMALL_COEFFS = st.sampled_from([-2, -1, 1, 2, Fraction(1, 2)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_random_coproducts_with_strays_match_oracle(data):
+    """Small named bases (1-3 keys per degree up to a top degree 2-4) with
+    random graded coproducts; a few keys also get an off-grade pair or a
+    pair with a key outside the basis, in range or above the top degree."""
+    top = data.draw(st.integers(2, 4), label="top")
+    bases = {
+        d: [rigidity.BasisKey(d, "g%d_%d" % (d, i)) for i in range(data.draw(st.integers(1, 3)))]
+        for d in range(1, top + 1)
+    }
+    keys = [k for d in bases for k in bases[d]]
+    outside = [rigidity.BasisKey(1, "x"), rigidity.BasisKey(top, "y"), rigidity.BasisKey(top + 1, "z")]
+    stray_pair = st.tuples(st.sampled_from(keys + outside), st.sampled_from(keys + outside))
+    strays = data.draw(st.sets(st.sampled_from(keys), max_size=2), label="strays")
+    images = {}
+    for k in keys:
+        legs = [(u, v) for i in range(1, k.degree) for u in bases[i] for v in bases[k.degree - i]]
+        terms = []
+        if legs:
+            terms = data.draw(st.lists(st.tuples(st.sampled_from(legs), SMALL_COEFFS), max_size=3))
+        if k in strays:
+            terms += [(data.draw(stray_pair), data.draw(SMALL_COEFFS))]
+        images[k] = TensorElement._trusted(2, accumulate({}, terms))
+
+    def coproduct(k):
+        return images[k]
+
+    def basis(d):
+        return bases.get(d, [])
+
+    combo = st.dictionaries(st.sampled_from(keys), SMALL_COEFFS, min_size=1, max_size=3)
+    combos = data.draw(st.lists(combo, max_size=3), label="combos")
+    filtrations = {m: Filtration(coproduct, basis, m) for m in bases}
+    for x in [Element.of(k) for k in keys] + [Element(c) for c in combos]:
+        expected = oracle_filtration_degree(x, coproduct, basis)
+        assert filtrations[x.max_degree()].degree_of(x) == expected
+        assert filtration_degree(x, coproduct, basis) == expected
 
 
 def test_degree_of_rejects_zero_and_too_high_degree():

@@ -66,7 +66,9 @@ def _perturb(doc, data):
         terms = doc["product"][a][b]
         terms[data.draw(st.integers(0, len(terms) - 1))][0] = coeff
     elif kind == "coproduct":
-        terms = doc["coproduct"][data.draw(st.sampled_from(sorted(doc["coproduct"])))]
+        # an earlier "new coproduct" change may have left a name with no terms
+        named = sorted(a for a, terms in doc["coproduct"].items() if terms)
+        terms = doc["coproduct"][data.draw(st.sampled_from(named))]
         terms[data.draw(st.integers(0, len(terms) - 1))][0] = coeff
     elif kind == "product degree":
         a, b = data.draw(st.sampled_from(pairs))
