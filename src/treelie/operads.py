@@ -9,14 +9,21 @@ summands.  Relabeling is by block substitution: the incoming tree occupies
 ids i..i+m-1 and larger ids shift up.  Each composition is one kernel on
 parent tuples returning ``{parent tuple: coeff}`` (``nap_parents``,
 ``pl_parents``), which ``nap_compose``/``pl_compose`` wrap for ``LabeledTree``
-and ``Element``; the axiom walk runs on the kernels alone.
+and ``Element``; the axiom walk runs on the kernels alone.  The relabelings
+depend only on the shape of a composition (the two arities, the slot and
+the position of the incoming root), so ``_substitute`` builds them once per
+shape into a module table of tuples and applies them with ``map``; only the
+pre-Lie kernel and the negative control look up the moved children.
 
 The checkers verify unit, associativity and symmetric-group equivariance
 exhaustively in low arity, the presentation of the permutative operad
 (relator vanishing and root decomposition), and that composing abstract
 operations matches evaluating the corresponding products on generators.
 Each checker returns one outcome per case, ``None`` for a pass or else the
-witness, for the check driver of ``treelie.checks``.
+witness, for the check driver of ``treelie.checks``.  In the axiom walk one
+side of every composition is a single tree, so the kernel is extended over
+the other side only, and the block permutations of the equivariance cases
+are computed once per pair of arities.
 """
 
 import itertools
@@ -30,43 +37,72 @@ unit = LabeledTree((0,))
 mu = LabeledTree((0, 1))
 
 
+_SHAPES = {}  # (len(p), i, len(q), root position in q) -> the relabelings of _substitute
+
+
+def _shape(n, i, m, r):
+    """The relabelings of ``_substitute`` for one shape: host id x (0..n) to
+    its id after composing, vertex i itself going to the incoming root i + r,
+    and incoming id x (1..m) to i + x - 1; slot 0 of the incoming table is a
+    placeholder for the incoming root's parent, which each call fills in."""
+    shift, top = m - 1, i + r
+    host = tuple(x if x < i else top if x == i else x + shift for x in range(n + 1))
+    return host, (0,) + tuple(range(i, i + m))
+
+
 def _substitute(p, i, q):
     """``q`` substituted for vertex i of ``p`` with i's children on the root
-    of ``q``, as a parent list, and the list positions of those children.
-    Host ids above i shift up by ``len(q) - 1``; incoming id j becomes i+j-1."""
-    n, m = len(p), len(q)
+    of ``q``, as a parent list.  Host ids above i shift up by ``len(q) - 1``;
+    incoming id j becomes i+j-1."""
+    n = len(p)
     if not 1 <= i <= n:
         raise ValueError("vertex %d out of range 1..%d" % (i, n))
-    shift, top = m - 1, i + q.index(0)
-    host = [x if x < i else top if x == i else x + shift for x in p]
-    base = host[: i - 1] + [host[i - 1] if x == 0 else x + i - 1 for x in q] + host[i:]
-    moved = [c if c < i - 1 else c + shift for c, x in enumerate(p) if x == i]
-    return base, moved
+    r = q.index(0)
+    key = (n, i, len(q), r)
+    shape = _SHAPES.get(key)
+    if shape is None:
+        shape = _SHAPES[key] = _shape(n, i, len(q), r)
+    host, incoming = shape
+    base = list(map(host.__getitem__, p))
+    block = list(map(incoming.__getitem__, q))
+    block[r] = base[i - 1]  # the incoming root takes vertex i's parent
+    base[i - 1 : i] = block
+    return base
+
+
+def _moved(p, i, m):
+    """Positions in the composed parent list of the children of vertex i of
+    ``p``, which move onto the ``m`` vertices of the incoming tree."""
+    return [c if c < i - 1 else c + m - 1 for c, x in enumerate(p) if x == i]
 
 
 def nap_parents(p, i, q):
     """Permutative composition of parent tuples, ``{p o_i q: 1}``."""
-    base, _ = _substitute(p, i, q)
-    return {tuple(base): 1}
+    return {tuple(_substitute(p, i, q)): 1}
 
 
 def pl_parents(p, i, q):
     """Pre-Lie composition of parent tuples: the sum over all maps from the
     children of vertex i to the vertices of ``q``, coefficients all 1.  The
     all-to-the-root map gives the permutative summand."""
-    base, moved = _substitute(p, i, q)
-    if not moved:
+    base = _substitute(p, i, q)
+    children = p.count(i)
+    if not children:
         return {tuple(base): 1}
     out = {}
-    if len(moved) == 1:
-        (pos,) = moved
-        for target in range(i, i + len(q)):
+    targets = range(i, i + len(q))
+    if children == 1:
+        pos = p.index(i)
+        if pos >= i:
+            pos += len(q) - 1
+        for target in targets:
             base[pos] = target
             out[tuple(base)] = 1
         return out
+    moved = _moved(p, i, len(q))
     # distinct target maps give distinct parent arrays, so no term repeats
-    for targets in itertools.product(range(i, i + len(q)), repeat=len(moved)):
-        for pos, target in zip(moved, targets):
+    for choice in itertools.product(targets, repeat=len(moved)):
+        for pos, target in zip(moved, choice):
             base[pos] = target
         out[tuple(base)] = 1
     return out
@@ -75,8 +111,8 @@ def pl_parents(p, i, q):
 def corrupted_parents(p, i, q):
     """Deliberately wrong composition (incoming edges attach to the incoming
     tree's last vertex, not its root); negative control for the checker."""
-    base, moved = _substitute(p, i, q)
-    for pos in moved:
+    base = _substitute(p, i, q)
+    for pos in _moved(p, i, len(q)):
         base[pos] = i + len(q) - 1
     return {tuple(base): 1}
 
@@ -135,7 +171,9 @@ def check_operad_axioms(parents, max_arity):
 
     Combinations are ``{parent tuple: coeff}`` dicts; a ``LabeledTree`` is
     built only to render a witness.  Every ``t o_i s`` of two trees is
-    computed once into one table; the cases compose or compare its values."""
+    computed once into one table; the cases compose or compare its values.
+    One side of every other composition is a single tree, so the kernel is
+    extended over the other side only (``over_left``/``over_right``)."""
     trees = {n: [t.parent for t in tree_core.enumerate_labeled(n)] for n in range(1, max_arity + 1)}
     perms = {n: list(itertools.permutations(range(1, n + 1))) for n in trees}
     acted = {(sigma, t): act_parent(sigma, t) for n in trees for sigma in perms[n] for t in trees[n]}
@@ -145,9 +183,27 @@ def check_operad_axioms(parents, max_arity):
     tree = LabeledTree._trusted
     out = []
 
-    def compose(x, i, y):
-        # the kernel extended bilinearly to {parent tuple: coeff} dicts
-        return bilinear(lambda p, q: parents(p, i, q), x, y)
+    def over_left(x, i, q):
+        # x o_i q for a combination x; a single tree with coefficient 1 is the kernel's own dict
+        if len(x) == 1:
+            ((p, c),) = x.items()
+            if c == 1:
+                return parents(p, i, q)
+        acc = {}
+        for p, c in x.items():
+            accumulate(acc, parents(p, i, q).items(), c)
+        return acc
+
+    def over_right(p, i, y):
+        # p o_i y for a combination y
+        if len(y) == 1:
+            ((q, c),) = y.items()
+            if c == 1:
+                return parents(p, i, q)
+        acc = {}
+        for q, c in y.items():
+            accumulate(acc, parents(p, i, q).items(), c)
+        return acc
 
     for t in every:
         for i in range(1, len(t) + 1):
@@ -158,23 +214,26 @@ def check_operad_axioms(parents, max_arity):
         for t, s, r in itertools.product(trees[a], trees[b], trees[c]):
             # sequential: (t o_i s) o_{i-1+j} r == t o_i (s o_j r)
             for i, j in itertools.product(range(1, a + 1), range(1, b + 1)):
-                same = compose(o[t, i, s], i - 1 + j, {r: 1}) == compose({t: 1}, i, o[s, j, r])
+                same = over_left(o[t, i, s], i - 1 + j, r) == over_right(t, i, o[s, j, r])
                 witness = "sequential associativity: %s o_%d %s o_%d %s"
                 out.append(None if same else witness % (tree(t), i, tree(s), j, tree(r)))
             # parallel: (t o_i s) o_{j+b-1} r == (t o_j r) o_i s
             for i, j in itertools.combinations(range(1, a + 1), 2):
-                same = compose(o[t, i, s], j + b - 1, {r: 1}) == compose(o[t, j, r], i, {s: 1})
+                same = over_left(o[t, i, s], j + b - 1, r) == over_left(o[t, j, r], i, s)
                 witness = "parallel associativity: %s o_%d %s / o_%d %s"
                 out.append(None if same else witness % (tree(t), i, tree(s), j, tree(r)))
 
     for a, b in itertools.product(trees, repeat=2):
-        for t, s, sigma, tau in itertools.product(trees[a], trees[b], perms[a], perms[b]):
-            for i in range(1, a + 1):
-                rho = compose_permutation(sigma, i, tau)
-                rhs = {act_parent(rho, p): c for p, c in o[t, sigma[i - 1], s].items()}
-                same = o[acted[sigma, t], i, acted[tau, s]] == rhs
-                witness = "equivariance: sigma=%s tau=%s i=%d t=%s s=%s"
-                out.append(None if same else witness % (sigma, tau, i, tree(t), tree(s)))
+        # the block permutation of every (sigma, i, tau), computed once per arity pair
+        blocks = [(sigma, tau, [compose_permutation(sigma, i, tau) for i in range(1, a + 1)])
+                  for sigma, tau in itertools.product(perms[a], perms[b])]
+        for t, s in itertools.product(trees[a], trees[b]):
+            for sigma, tau, rhos in blocks:
+                for i, rho in enumerate(rhos, 1):
+                    rhs = {act_parent(rho, p): c for p, c in o[t, sigma[i - 1], s].items()}
+                    same = o[acted[sigma, t], i, acted[tau, s]] == rhs
+                    witness = "equivariance: sigma=%s tau=%s i=%d t=%s s=%s"
+                    out.append(None if same else witness % (sigma, tau, i, tree(t), tree(s)))
     return out
 
 

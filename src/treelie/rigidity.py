@@ -274,6 +274,8 @@ class PresentedAlgebra(Algebra):
             for d, names in doc.get("generators", {}).items():
                 if type(names) is not list or not set(map(type, names)) <= {str}:
                     raise _malformed("generators of degree %s" % d, "an array of strings", names)
+                if str(int(d)) != d:  # so that no two keys name one degree
+                    raise _malformed("generator degree", "an integer in canonical decimal form", d)
                 generators[int(d)] = names
             named = []  # every name a term mentions, checked even if its sum is zero
             product = {}
@@ -304,12 +306,23 @@ class PresentedAlgebra(Algebra):
     def load(cls, path):
         with open(path) as fh:
             try:
-                doc = json.load(fh)
+                doc = json.load(fh, object_pairs_hook=_unique_keys)
             except json.JSONDecodeError as exc:
                 raise ValueError("invalid JSON in %s: %s" % (path, exc)) from exc
             except RecursionError as exc:
                 raise ValueError("JSON nested too deeply in %s" % path) from exc
         return cls.from_json(doc)
+
+
+def _unique_keys(pairs):
+    """A JSON object as a dict, refusing a key given twice, which ``json``
+    would otherwise resolve silently to its last value."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        repeated = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValueError("malformed presented algebra document: repeated key %s" % reprlib.repr(repeated))
+    return doc
 
 
 def _malformed(where, expected, value):

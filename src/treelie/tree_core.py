@@ -154,20 +154,30 @@ def enumerate_trees(alphabet, degree, weights=None):
     return _trees_memo(weighted, degree)
 
 
-_TREES_CACHE = {}
+_TREES_CACHE = {}  # (weighted alphabet, degree) -> the sorted trees of that weight
+_POOLS = {}  # weighted alphabet -> (tree, weight) of every degree built so far, lightest first
 
 
 def _trees_memo(weighted, degree):
     got = _TREES_CACHE.get((weighted, degree))
     if got is None:
-        got = _enumerate(weighted, degree)
-        _TREES_CACHE[(weighted, degree)] = got
+        # degrees are built in increasing order, each extending the alphabet's pool
+        low = degree
+        while low > 1 and (weighted, low - 1) not in _TREES_CACHE:
+            low -= 1
+        pool = _POOLS.setdefault(weighted, [])
+        for d in range(low, degree + 1):
+            got = _TREES_CACHE[(weighted, d)] = _enumerate(weighted, d)
+            pool.extend((t, d) for t in got)
     return got
 
 
 def _enumerate(weighted, degree):
-    # subtree pool: every tree of smaller weight, paired with its weight
-    pool = [(t, d) for d in range(1, degree) for t in _trees_memo(weighted, d)]
+    """The trees of weight ``degree``, with subtrees from the alphabet's pool,
+    which holds every lighter tree once the degree below is built."""
+    if degree > 1:
+        _trees_memo(weighted, degree - 1)
+    pool = _POOLS.get(weighted, [])
     forests = {}  # budget -> child multisets; letters of equal weight share them
     out = set()
     for label, w in weighted:

@@ -2,9 +2,11 @@
 
 The compositions as they were written on ``LabeledTree`` before the kernels
 on parent tuples (closures for the block relabeling, one vertex at a time),
-here with every tree built by the validating constructor; ``pl_parents``
-with one generic loop over all target maps, before its direct paths for no
-and for one moved child;
+here with every tree built by the validating constructor; the kernels on
+parent tuples as first written, on a ``_substitute`` that rebuilds its
+relabelings on every call and returns the moved children with the parent
+list, ``pl_parents`` with one generic loop over all target maps, before its
+direct paths for no and for one moved child;
 ``act_element``, and the operad axiom walk as it was written before
 ``check_operad_axioms`` returned its outcomes and composed each ``t o_i s``
 once: a seven-deep loop nest that recomputes every composition where it is
@@ -15,7 +17,7 @@ import itertools
 
 from treelie import tree_core
 from treelie.freemod import Element
-from treelie.operads import _substitute, as_element, compose_elements, compose_permutation, unit
+from treelie.operads import as_element, compose_elements, compose_permutation, unit
 from treelie.tree_core import LabeledTree, act
 
 
@@ -75,6 +77,26 @@ def pl_compose(t, i, s):
     return out
 
 
+def _substitute(p, i, q):
+    """``q`` substituted for vertex i of ``p`` with i's children on the root
+    of ``q``, as a parent list, and the list positions of those children.
+    Host ids above i shift up by ``len(q) - 1``; incoming id j becomes i+j-1."""
+    n, m = len(p), len(q)
+    if not 1 <= i <= n:
+        raise ValueError("vertex %d out of range 1..%d" % (i, n))
+    shift, top = m - 1, i + q.index(0)
+    host = [x if x < i else top if x == i else x + shift for x in p]
+    base = host[: i - 1] + [host[i - 1] if x == 0 else x + i - 1 for x in q] + host[i:]
+    moved = [c if c < i - 1 else c + shift for c, x in enumerate(p) if x == i]
+    return base, moved
+
+
+def nap_parents(p, i, q):
+    """Permutative composition of parent tuples, ``{p o_i q: 1}``."""
+    base, _ = _substitute(p, i, q)
+    return {tuple(base): 1}
+
+
 def pl_parents(p, i, q):
     """Pre-Lie composition of parent tuples, every case through one product
     over the maps from the moved children to the vertices of ``q``."""
@@ -85,6 +107,14 @@ def pl_parents(p, i, q):
             base[pos] = target
         out[tuple(base)] = 1
     return out
+
+
+def corrupted_parents(p, i, q):
+    """Incoming edges attach to the incoming tree's last vertex."""
+    base, moved = _substitute(p, i, q)
+    for pos in moved:
+        base[pos] = i + len(q) - 1
+    return {tuple(base): 1}
 
 
 def corrupted_compose(t, i, s):

@@ -297,6 +297,26 @@ def test_reconstruct_malformed_document_exits_2_with_one_line(tmp_path, capsys, 
     assert (code, out, err) == (2, "", "format error: malformed presented algebra document: %s\n" % message)
 
 
+NOT_CANONICAL = "generator degree: expected an integer in canonical decimal form, got "
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # each of these used to be read as a valid document of one degree, exit 0
+        ('{"generators": {"1": ["a"], "01": ["b"]}}', NOT_CANONICAL + "'01'"),
+        ('{"generators": {"1": ["a"], "1": ["b"]}}', "repeated key '1'"),
+        ('{"generators": {"1_0": ["a"]}}', NOT_CANONICAL + "'1_0'"),
+        ('{"generators": {" 2": ["a"]}}', NOT_CANONICAL + "' 2'"),
+    ],
+)
+def test_reconstruct_refuses_ambiguous_degree_keys(tmp_path, capsys, text, message):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "reconstruct", str(path), "1")
+    assert (code, out, err) == (2, "", "format error: malformed presented algebra document: %s\n" % message)
+
+
 def test_reconstruct_deeply_nested_json_exits_2_with_one_line(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 200000)

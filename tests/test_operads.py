@@ -1,5 +1,6 @@
 import collections
 import itertools
+import random
 
 import operad_oracle as oracle
 import pytest
@@ -82,6 +83,57 @@ def test_pl_parents_matches_generic_oracle():
 @given(labeled_trees(5), labeled_trees(5), st.data())
 def test_pl_parents_of_random_trees_matches_generic_oracle(t, s, data):
     _assert_pl_parents_matches_oracle(t.parent, data.draw(st.integers(1, t.n)), s.parent)
+
+
+# each kernel on parent tuples and its oracle, which rebuilds the relabelings per call
+PARENT_KERNELS = [
+    (O.nap_parents, oracle.nap_parents),
+    (O.pl_parents, oracle.pl_parents),
+    (O.corrupted_parents, oracle.corrupted_parents),
+]
+UP_TO_4 = [t.parent for n in range(1, 5) for t in enumerate_labeled(n)]
+
+
+def _assert_kernels_match_oracle(p, i, q):
+    for fast, slow in PARENT_KERNELS:
+        assert list(fast(p, i, q).items()) == list(slow(p, i, q).items())  # same terms, same order
+
+
+def test_kernels_match_oracle_up_to_arity_4():
+    for p, q in itertools.product(UP_TO_4, repeat=2):
+        for i in range(1, len(p) + 1):
+            _assert_kernels_match_oracle(p, i, q)
+
+
+def test_kernels_reject_slots_out_of_range():
+    for p in UP_TO_4:
+        for i in (0, len(p) + 1):
+            for fast, slow in PARENT_KERNELS:
+                for kernel in (fast, slow):
+                    with pytest.raises(ValueError, match="vertex %d out of range 1..%d" % (i, len(p))):
+                        kernel(p, i, O.mu.parent)
+
+
+@settings(max_examples=200)
+@given(labeled_trees(6), labeled_trees(6), st.data())
+def test_kernels_of_random_trees_match_oracle(t, s, data):
+    _assert_kernels_match_oracle(t.parent, data.draw(st.integers(1, t.n)), s.parent)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_kernels_agree_in_any_call_order(monkeypatch, seed):
+    # an empty shape table, filled in a shuffled order of shapes and kernels
+    monkeypatch.setattr(O, "_SHAPES", {})
+    cases = [
+        (fast, slow, p, i, q)
+        for p, q in itertools.product(UP_TO_4, repeat=2)
+        for i in range(1, len(p) + 1)
+        for fast, slow in PARENT_KERNELS
+    ]
+    random.Random(seed).shuffle(cases)
+    for fast, slow, p, i, q in cases:
+        assert list(fast(p, i, q).items()) == list(slow(p, i, q).items())
+    assert O._SHAPES  # the kernels did go through the table
 
 
 def test_pl_compose_mu_mu():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -186,6 +187,51 @@ def test_shared_forests_match_per_letter_enumeration(weights, max_degree):
         expected = _enumerate_per_letter(weighted, d, memo)
         assert tc._enumerate(weighted, d) == expected
         assert enumerate_trees(list(weights), d, weights) == expected
+
+
+def _enumerate_rebuilding_pool(weighted, degree, memo):
+    """The enumerator before the pool was kept per alphabet: each degree
+    rebuilds its pool from every smaller degree; kept as the oracle."""
+    got = memo.get(degree)
+    if got is None:
+        pool = [(t, d) for d in range(1, degree) for t in _enumerate_rebuilding_pool(weighted, d, memo)]
+        forests = {}
+        out = set()
+        for label, w in weighted:
+            if w == degree:
+                out.add(kernel.leaf(label))
+            elif w < degree:
+                budget = degree - w
+                if budget not in forests:
+                    forests[budget] = list(tc._subtree_multisets(pool, 0, budget))
+                for combo in forests[budget]:
+                    out.add(kernel.node(label, combo))
+        got = memo[degree] = sorted(out)
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from("abcd"), st.integers(1, 5), min_size=1, max_size=3),
+    st.permutations(range(1, 7)),
+)
+def test_kept_pool_matches_rebuilt_pool(weights, degrees):
+    # fresh tables, degrees asked for in a random order
+    weighted = tuple(sorted(weights.items()))
+    memo = {}
+    with mock.patch.object(tc, "_TREES_CACHE", {}), mock.patch.object(tc, "_POOLS", {}):
+        for d in degrees:
+            assert enumerate_trees(list(weights), d, weights) == _enumerate_rebuilding_pool(weighted, d, memo)
+        pool = tc._POOLS[weighted]
+        assert pool == [(t, d) for d in range(1, 7) for t in memo[d]]  # every tree once, lightest first
+
+
+def test_heavy_letter_enumerates_in_linear_time():
+    # a letter of weight N: N - 1 empty degrees before the one tree
+    with mock.patch.object(tc, "_TREES_CACHE", {}), mock.patch.object(tc, "_POOLS", {}):
+        assert enumerate_trees(["x"], 4000, {"x": 4000}) == [kernel.leaf("x")]
+        assert enumerate_trees(["x"], 8000, {"x": 4000}) == [kernel.node("x", (kernel.leaf("x"),))]
+        assert len(tc._TREES_CACHE) == 8000 and len(tc._POOLS[(("x", 4000),)]) == 2
 
 
 # -- canonical form soundness against an independent isomorphism oracle -----
