@@ -145,7 +145,7 @@ def check_trick_formula(alphabet, total):
 
 
 def check_freeness_dimensions(max_degree):
-    expected = _rooted_tree_counts(max_degree)
+    expected = tree_core.count_trees(max_degree)
 
     def cases():
         for n in range(1, max_degree + 1):
@@ -154,20 +154,6 @@ def check_freeness_dimensions(max_degree):
             yield None if got == want else "degree %d: %d trees, recursion says %d" % (n, got, want)
 
     return _run("one-generator dimensions match the counting recursion", cases())
-
-
-def _rooted_tree_counts(n_max, letters=1):
-    """Independent count of rooted trees of degree 1..n_max with vertices
-    labeled from ``letters`` letters, by the Euler-transform recursion
-    a(n+1) = (1/n) sum_k (sum_{d|k} d a(d)) a(n-k+1) from a(1) = letters."""
-    a = [0, letters]
-    for n in range(1, n_max):
-        s = 0
-        for k in range(1, n + 1):
-            div_sum = sum(d * a[d] for d in range(1, k + 1) if k % d == 0)
-            s += div_sum * a[n - k + 1]
-        a.append(s // n)
-    return a[1 : n_max + 1]
 
 
 def check_module_axiom(seed):
@@ -436,7 +422,7 @@ def check_decomposition(max_degree):
     where the image of e equals the primitives ker(Delta); plus the
     constructive witness mu(w) = x - e(x)."""
     alg = _free(ONE_LETTER)
-    expected = _rooted_tree_counts(max_degree)
+    expected = tree_core.count_trees(max_degree)
 
     def cases():
         for n in range(1, max_degree + 1):
@@ -654,7 +640,7 @@ def suite_operads(max_degree, seed):
 def check_reconstruction(max_degree, seed):
     results = []
     alg = free_presentation(ONE_LETTER, max_degree)
-    expected = _rooted_tree_counts(max_degree)
+    expected = tree_core.count_trees(max_degree)
     for name, presented in (
         ("self-reconstruction of the one-generator tree algebra", alg),
         ("reconstruction after a seeded change of basis (seed %d)" % seed, change_of_basis(alg, seed)),

@@ -24,9 +24,13 @@ pairs of keys they meet to sparse column ids.
 """
 
 import math
+import reprlib
 from fractions import Fraction
 
 from treelie import tree_core
+
+MAX_RATIONAL_TEXT = 2000
+MAX_RATIONAL_EXPONENT = 2000
 
 
 def _coeff(c):
@@ -42,13 +46,30 @@ def parse_rational(text):
     its exact value, so it is rejected rather than silently converted.
     Integral values come back as ``int``, whose arithmetic is much cheaper
     than ``Fraction``'s and renders, hashes and compares the same.
+
+    The text is at most ``MAX_RATIONAL_TEXT`` characters and a decimal
+    exponent at most ``MAX_RATIONAL_EXPONENT`` in absolute value, checked
+    before ``Fraction`` expands the exponent: ``"1e999999999"`` would
+    otherwise build a billion-digit integer.  Together they keep the
+    numerator and denominator within 4,001 digits, under the 4,300 that
+    ``str`` of an ``int`` renders.
     """
     if not isinstance(text, str):
         raise ValueError("rational must be a string such as '1/2', got %r" % (text,))
+    if len(text) > MAX_RATIONAL_TEXT:
+        raise ValueError("rational longer than %d characters: %s" % (MAX_RATIONAL_TEXT, reprlib.repr(text)))
+    exponent = text.replace("E", "e").partition("e")[2]
+    try:
+        bounded = not exponent or abs(int(exponent)) <= MAX_RATIONAL_EXPONENT
+    except ValueError:
+        bounded = True  # not an exponent, so Fraction refuses the text below
+    if not bounded:
+        message = "rational exponent outside -%d..%d: %s"
+        raise ValueError(message % (MAX_RATIONAL_EXPONENT, MAX_RATIONAL_EXPONENT, reprlib.repr(text)))
     try:
         q = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError("malformed rational %r" % text) from exc
+        raise ValueError("malformed rational %s" % reprlib.repr(text)) from exc
     return q.numerator if q.denominator == 1 else q
 
 

@@ -183,6 +183,12 @@ class BasisKey:
         raise AttributeError("cannot delete field %r" % name)
 
 
+# The zero structure constants every absent product and coproduct entry
+# shares; no caller writes to an Element it did not build.
+_ZERO = Element()
+_ZERO_TENSOR = TensorElement(2)
+
+
 class PresentedAlgebra(Algebra):
     """Graded algebra/coalgebra given by basis names and structure constants.
 
@@ -242,10 +248,10 @@ class PresentedAlgebra(Algebra):
         return self._require(name)
 
     def product_basis(self, a, b):
-        return self._product.get((a.name, b.name), Element())
+        return self._product.get((a.name, b.name), _ZERO)
 
     def coproduct_basis(self, a):
-        return self._coproduct.get(a.name, TensorElement(2))
+        return self._coproduct.get(a.name, _ZERO_TENSOR)
 
     # -- serialization ------------------------------------------------------
 
@@ -297,10 +303,15 @@ class PresentedAlgebra(Algebra):
             alg.key(name)
         return alg
 
+    def write(self, stream):
+        """Write the document ``load`` reads: indented, keys sorted, one
+        trailing newline."""
+        json.dump(self.to_json(), stream, indent=1, sort_keys=True)
+        stream.write("\n")
+
     def dump(self, path):
         with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            self.write(fh)
 
     @classmethod
     def load(cls, path):

@@ -133,6 +133,21 @@ def automorphism_count(tree):
     return out
 
 
+def count_trees(n_max, letters=1):
+    """Number of rooted trees of each degree 1..n_max with vertices labeled
+    from ``letters`` letters, without building one, by the Euler-transform
+    recursion a(n+1) = (1/n) sum_k (sum_{d|k} d a(d)) a(n-k+1) from
+    a(1) = letters."""
+    a = [0, letters]
+    for n in range(1, n_max):
+        s = 0
+        for k in range(1, n + 1):
+            div_sum = sum(d * a[d] for d in range(1, k + 1) if k % d == 0)
+            s += div_sum * a[n - k + 1]
+        a.append(s // n)
+    return a[1 : n_max + 1]
+
+
 def enumerate_trees(alphabet, degree, weights=None):
     """All canonical trees of total weight ``degree`` labeled from ``alphabet``.
 

@@ -1,6 +1,10 @@
 import json
+import time
+import types
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from treelie import checks, cli, rigidity, tree_core
 from treelie.freemod import parse_element, parse_tensor_element
@@ -150,6 +154,7 @@ def _must_not_start(*args, **kwargs):
 
 
 TREES_LIMIT = " exceeds the enumerate trees limit of 500000 trees\n"
+PRESENT_LIMIT = " exceeds the present limit of 300000 product pairs\n"
 
 
 @pytest.mark.parametrize(
@@ -170,9 +175,15 @@ TREES_LIMIT = " exceeds the enumerate trees limit of 500000 trees\n"
         (("enumerate", "trees", "a,a", "17"), "degree 17 on a,a" + TREES_LIMIT),
         (("enumerate", "trees", "a,b,c,d,e,f", "8"), "degree 8 on a,b,c,d,e,f" + TREES_LIMIT),
         (("enumerate", "trees", "a", "1000000000"), "degree 1000000000 on a" + TREES_LIMIT),
+        (("present", "a", "16"), "degree 16 on a" + PRESENT_LIMIT),
+        (("present", "a,b", "10"), "degree 10 on a,b" + PRESENT_LIMIT),
+        (("present", "a", "40"), "degree 40 on a" + PRESENT_LIMIT),
+        (("present", "a", "1000000000"), "degree 1000000000 on a" + PRESENT_LIMIT),
+        (("present", "a,b,c,d,e,f,g,h", "5"), "degree 5 on a,b,c,d,e,f,g,h" + PRESENT_LIMIT),
     ],
 )
 def test_size_limits_exit_2_before_any_work(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(rigidity, "free_presentation", _must_not_start)
     monkeypatch.setattr(rigidity.PresentedAlgebra, "load", _must_not_start)
     monkeypatch.setattr(tree_core, "enumerate_trees", _must_not_start)
     monkeypatch.setattr(cli, "delta_k", _must_not_start)
@@ -196,6 +207,14 @@ def test_sizes_inside_the_limits_are_accepted(capsys, monkeypatch):
     monkeypatch.setattr(tree_core, "enumerate_trees", lambda alphabet, d: ["%s %d" % (",".join(alphabet), d)])
     assert run_cli(capsys, "enumerate", "trees", "a,b", "10")[:2] == (0, "a,b 10\n")
     assert run_cli(capsys, "enumerate", "trees", "a", "16")[:2] == (0, "a 16\n")
+
+    def free_presentation(alphabet, n):
+        return types.SimpleNamespace(write=lambda stream: stream.write("%s %d\n" % (",".join(alphabet), n)))
+
+    # the pair count admits a 15 (255,875 pairs) and a,b 9 (198,016)
+    monkeypatch.setattr(rigidity, "free_presentation", free_presentation)
+    assert run_cli(capsys, "present", "a", "15") == (0, "a 15\n", "")
+    assert run_cli(capsys, "present", "a,b", "9") == (0, "a,b 9\n", "")
 
     def unreadable(path):
         raise OSError("not read: %s" % path)
@@ -370,3 +389,114 @@ def test_reconstruct_max_degree_above_file_exit_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == "max_degree 5 exceeds the presented degree 3\n"
+
+
+REQUIRED = "the following arguments are required: "
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # refusals of check and enumerate, in the words present and reconstruct use
+        (("check", "all", "0"), "max_degree must be >= 1"),
+        (("enumerate", "trees", "a"), "enumerate trees needs ALPHABET and DEGREE"),
+        (("enumerate", "trees", "a", "x"), "DEGREE must be an integer"),
+        (("enumerate", "heap", "3", "4"), "enumerate heap needs N"),
+        (("enumerate", "labeled", "x"), "N must be an integer"),
+        # argparse's own errors, without a usage block, named by the parser at fault
+        (("check", "all", "x"), "treelie check: error: argument max_degree: invalid int value: 'x'"),
+        (("reconstruct", "f"), "treelie reconstruct: error: " + REQUIRED + "max_degree"),
+        (("product", "prelie", "a", "b", "c"), "treelie: error: unrecognized arguments: c"),
+        ((), "treelie: error: " + REQUIRED + "command"),
+        # input echoed in a refusal keeps it on one line
+        (("enumerate", "trees", "a,b\nc", "17"), "degree 17 on a,b\\nc" + TREES_LIMIT[:-1]),
+    ],
+)
+def test_usage_errors_are_one_stderr_line(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", message + "\n")
+
+
+# 80 bytes whose coefficient would make Fraction build a billion-digit integer
+EXPONENT_BOMB = '{"generators":{"1":["a"],"2":["b"]},"product":{"a":{"a":[["1e999999999","b"]]}}}'
+
+
+@pytest.mark.parametrize(
+    "coefficient,reason",
+    [
+        ("1e999999999", "rational exponent outside -2000..2000: '1e999999999'"),
+        ("1" * 5000, "rational longer than 2000 characters: '111111111111...1111111111111'"),
+        ("1/" + "3" * 4301, "rational longer than 2000 characters: '1/3333333333...3333333333333'"),
+    ],
+)
+def test_huge_coefficients_exit_2_with_one_line_at_once(tmp_path, capsys, coefficient, reason):
+    path = tmp_path / "bomb.json"
+    path.write_text(EXPONENT_BOMB.replace("1e999999999", coefficient))
+    start = time.perf_counter()
+    result = run_cli(capsys, "reconstruct", str(path), "2")
+    assert time.perf_counter() - start < 1
+    assert result == (2, "", "format error: malformed presented algebra document: %s\n" % reason)
+
+
+_FREE_A3 = rigidity.free_presentation(["a"], 3)
+_BAD_A3 = _FREE_A3.to_json()
+_BAD_A3["coproduct"]["a[a]"] = [["2", "a", "a"]]
+_DOCUMENTS = {"free.json": _FREE_A3, "bad.json": rigidity.PresentedAlgebra.from_json(_BAD_A3)}
+_NUMBERS = ["0", "1", "-1", "2", "3", "7", "8", "9", "10", "11", "15", "16", "17", "64", "65"]
+_NUMBERS += ["1000000000", str(10**30), "x", "1.5", "", " 2", "1_0", "9" * 5000]
+_TREES = ["a", "a[b]", "a[b,c[d]]", "r[a,b,c,d,e,f]", "r[a,b,c,d,e,f,g]", "r[a,b,c,d,e,f,g,h,i]"]
+_TREES += [_chain(257), "a[", "]", "", "a[b", "a[]", "-", "a b", "a[b,,c]", "a\nb"]
+_ALPHABETS = ["a", "a,b", "a,a", "a,b,c", "a,b,c,d,e,f", "", "a,-", ",", "a,b\nc"]
+_numbers, _trees, _alphabets = st.sampled_from(_NUMBERS), st.sampled_from(_TREES), st.sampled_from(_ALPHABETS)
+_optional = st.lists(_numbers, max_size=1)
+_argv = st.one_of(
+    st.tuples(st.just("product"), st.sampled_from(["prelie", "nap", "lie"]), _trees, _trees),
+    st.tuples(st.just("coproduct"), _trees, _optional),
+    st.tuples(st.just("e"), _trees),
+    st.tuples(st.just("check"), st.sampled_from(sorted(checks.SUITES) + ["all", "no"]), _numbers, _optional),
+    st.tuples(st.just("reconstruct"), st.sampled_from(sorted(_DOCUMENTS) + ["missing", "a\nb"]), _numbers),
+    st.tuples(
+        st.just("enumerate"),
+        st.sampled_from(["trees", "labeled", "heap", "forest"]),
+        st.lists(_alphabets | _numbers, max_size=3),
+    ),
+    st.tuples(st.just("present"), _alphabets, _numbers),
+)
+
+
+def _flatten(parts):
+    return [a for part in parts for a in ([part] if isinstance(part, str) else part)]
+
+
+@settings(
+    max_examples=250,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(_argv.map(_flatten), st.sampled_from(["keep", "drop", "extra"]))
+@example(["check", "all", "x"], "keep")
+@example(["present", "a", "40"], "keep")
+@example(["reconstruct", "missing", "3"], "keep")
+@example(["reconstruct", "bad.json", "3"], "keep")
+def test_every_refusal_is_one_stderr_line(capsys, monkeypatch, argv, change):
+    """Generated argv for every verb, the heavy work cut to its smallest size:
+    exit code 0-4, never a traceback, and on exit 2 or 4 nothing on stdout and
+    exactly one line on stderr."""
+    trees, labeled, heap = tree_core.enumerate_trees, tree_core.iter_labeled, tree_core.iter_heap_ordered
+    delta_k, load = cli.delta_k, rigidity.PresentedAlgebra.load
+    monkeypatch.setattr(tree_core, "enumerate_trees", lambda alphabet, d, *w: trees(alphabet, min(d, 3), *w))
+    monkeypatch.setattr(tree_core, "iter_labeled", lambda n: labeled(min(n, 3)))
+    monkeypatch.setattr(tree_core, "iter_heap_ordered", lambda n: heap(min(n, 3)))
+    monkeypatch.setattr(cli, "delta_k", lambda x, k: delta_k(x, min(k, 2)))
+    monkeypatch.setattr(rigidity, "idempotent_e", lambda x, alg: x)
+    monkeypatch.setattr(rigidity, "free_presentation", lambda alphabet, n: _FREE_A3)
+    monkeypatch.setattr(rigidity.PresentedAlgebra, "load", lambda path: _DOCUMENTS.get(path) or load(path))
+    monkeypatch.setattr(
+        checks, "run_suite", lambda name, n, seed: [checks.CheckResult("%s %d" % (name, n), seed % 2 == 0)]
+    )
+    argv = argv[:-1] if change == "drop" else argv + ["extra"] if change == "extra" else argv
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err
+    if code in (2, 4):
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n")

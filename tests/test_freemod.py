@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treelie.freemod import (
+    MAX_RATIONAL_EXPONENT,
+    MAX_RATIONAL_TEXT,
     Element,
     TensorElement,
     accumulate,
@@ -91,6 +93,61 @@ def test_parse_rational_keeps_integers_as_int():
     for bad in (1, 1.0, 0.5, "x", "1/0"):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+_digits = st.lists(st.text("0123456789", min_size=1, max_size=12), min_size=1, max_size=3).map("_".join)
+_exponents = st.integers(-MAX_RATIONAL_EXPONENT, MAX_RATIONAL_EXPONENT).map(str) | st.sampled_from(["+7", "0_0_2"])
+coefficient_texts = st.builds(
+    "{}{}{}{}".format,
+    st.sampled_from(["", " ", "\t"]),
+    st.sampled_from(["", "-", "+"]),
+    st.one_of(
+        _digits,
+        st.builds("{}/{}".format, _digits, _digits),
+        st.builds(
+            "{}.{}{}".format,
+            _digits | st.just(""),
+            _digits | st.just(""),
+            st.just("") | st.builds("{}{}".format, st.sampled_from("eE"), _exponents),
+        ),
+    ),
+    st.sampled_from(["", " \n"]),
+)
+
+
+@settings(max_examples=150)
+@given(coefficient_texts)
+def test_parse_rational_within_the_bounds_is_fractions_value(text):
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+        return
+    got = parse_rational(text)
+    assert got == want and type(got) is (int if want.denominator == 1 else Fraction)
+
+
+def test_parse_rational_at_the_bounds_renders():
+    # the largest numerator and denominator the bounds admit stay within the
+    # 4,300 digits that str of an int renders
+    for text in ("9" * (MAX_RATIONAL_TEXT - 5) + "e2000", "-." + "9" * (MAX_RATIONAL_TEXT - 8) + "e-2000"):
+        assert len(text) <= MAX_RATIONAL_TEXT and Fraction(str(parse_rational(text))) == Fraction(text)
+
+
+@settings(max_examples=60)
+@given(
+    st.one_of(
+        st.integers(MAX_RATIONAL_EXPONENT + 1, 10**30).map("1e{}".format),
+        st.integers(MAX_RATIONAL_EXPONENT + 1, 10**30).map("-.5E-{}".format),
+        st.integers(MAX_RATIONAL_TEXT + 1, 3 * MAX_RATIONAL_TEXT).map(lambda n: "1" * n),
+        st.integers(MAX_RATIONAL_TEXT // 2, 2 * MAX_RATIONAL_TEXT).map(lambda n: "1" * n + "/" + "3" * n),
+    )
+)
+def test_parse_rational_past_the_bounds_is_refused(text):
+    with pytest.raises(ValueError) as refused:
+        parse_rational(text)
+    assert len(str(refused.value)) < 100
 
 
 @settings(max_examples=60)

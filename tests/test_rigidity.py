@@ -1,9 +1,10 @@
+import types
 from fractions import Fraction
 
 import pytest
 from basis_change_oracle import change_of_basis as oracle_change_of_basis
 
-from treelie import checks, kernel, tree_core
+from treelie import checks, kernel, rigidity, tree_core
 from treelie.freemod import Element, TensorElement, tensor
 from treelie.prelie import prelie_product
 from treelie.rigidity import (
@@ -241,6 +242,39 @@ def test_presented_defaults_to_zero():
     a = alg.key("a")
     assert alg.product_basis(a, a).is_zero()
     assert alg.coproduct_basis(a).is_zero()
+
+
+def _dropped_product(alg):
+    doc = alg.to_json()
+    del doc["product"]["a"]["a"]
+    return PresentedAlgebra.from_json(doc)
+
+
+def _wrong_coproduct(alg):
+    doc = alg.to_json()
+    doc["coproduct"]["a[a]"] = [["2", "a", "a"]]
+    return PresentedAlgebra.from_json(doc)
+
+
+def test_shared_zeros_are_never_written(monkeypatch):
+    # every absent product and coproduct entry is one shared empty Element or
+    # TensorElement; made read-only, any caller that wrote into one would raise
+    free = free_presentation(["a", "b"], 3)
+    cases = [
+        (free, True),
+        (change_of_basis(free, 3), True),
+        (_dropped_product(free), False),
+        (_wrong_coproduct(free), False),
+    ]
+    monkeypatch.setattr(rigidity._ZERO, "terms", types.MappingProxyType({}))
+    monkeypatch.setattr(rigidity._ZERO_TENSOR, "terms", types.MappingProxyType({}))
+    for alg, free_up_to_3 in cases:
+        assert alg.coproduct_basis(alg.basis(1)[0]) is rigidity._ZERO_TENSOR
+        assert (validate(alg, 3) == []) == free_up_to_3
+        report = reconstruct(alg, 3)
+        assert report.ok == free_up_to_3 and bool(report.validation_failures) != free_up_to_3
+    dropped = cases[2][0]
+    assert dropped.product_basis(dropped.key("a"), dropped.key("a")) is rigidity._ZERO
 
 
 def test_validate_free_presentation():
