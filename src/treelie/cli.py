@@ -6,11 +6,13 @@ algebra, the input format that ``reconstruct`` consumes).
 
 Exit codes: 0 success, 1 check/reconstruction failure, 2 usage or parse
 error, 3 validation failure, 4 I/O error.  Every refusal, argparse's own
-included, is raised as ``Refused`` and printed by ``main`` as one stderr line.
+included, is raised as ``Refused`` and printed by ``main`` as one stderr line;
+so is a stdout that its reader closed early (exit 4).
 """
 
 import argparse
 import itertools
+import os
 import sys
 
 from treelie import checks, rigidity, tree_core
@@ -251,11 +253,21 @@ def cmd_present(args):
 def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
-        return args.run(args) or EXIT_OK
+        code = args.run(args) or EXIT_OK
+        sys.stdout.flush()  # a closed stdout is met here, not at interpreter exit
+        return code
     except Refused as exc:
         # a line break in echoed input (a path, an alphabet) would split the line
         print("\\n".join(str(exc).splitlines()), file=sys.stderr)
         return exc.code
+    except BrokenPipeError as exc:
+        # the reader closed stdout: what is still buffered goes to devnull, so
+        # that the interpreter's final flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("i/o error: stdout closed: %s" % exc, file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

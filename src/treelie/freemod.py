@@ -45,7 +45,11 @@ def parse_rational(text):
     Only strings are accepted: a JSON float such as ``0.1`` has already lost
     its exact value, so it is rejected rather than silently converted.
     Integral values come back as ``int``, whose arithmetic is much cheaper
-    than ``Fraction``'s and renders, hashes and compares the same.
+    than ``Fraction``'s and renders, hashes and compares the same.  Plain
+    integer text (an optional ``-`` and ASCII digits, the form every
+    integral coefficient is written in) is read by ``int`` directly; any
+    other text (``+3``, spaces, ``1_0``, ``3.0``, ``p/q``) goes through
+    ``Fraction``, with the same value either way.
 
     The text is at most ``MAX_RATIONAL_TEXT`` characters and a decimal
     exponent at most ``MAX_RATIONAL_EXPONENT`` in absolute value, checked
@@ -58,6 +62,9 @@ def parse_rational(text):
         raise ValueError("rational must be a string such as '1/2', got %r" % (text,))
     if len(text) > MAX_RATIONAL_TEXT:
         raise ValueError("rational longer than %d characters: %s" % (MAX_RATIONAL_TEXT, reprlib.repr(text)))
+    digits = text[1:] if text[:1] == "-" else text
+    if digits.isascii() and digits.isdigit():
+        return int(text)
     exponent = text.replace("E", "e").partition("e")[2]
     try:
         bounded = not exponent or abs(int(exponent)) <= MAX_RATIONAL_EXPONENT

@@ -23,7 +23,7 @@ Each checker returns one outcome per case, ``None`` for a pass or else the
 witness, for the check driver of ``treelie.checks``.  In the axiom walk one
 side of every composition is a single tree, so the kernel is extended over
 the other side only, and the block permutations of the equivariance cases
-are computed once per pair of arities.
+and their inverse tables are computed once per pair of arities.
 """
 
 import itertools
@@ -31,7 +31,7 @@ import itertools
 from treelie import tree_core
 from treelie.freemod import Element, accumulate, bilinear
 from treelie.prelie import nap_product, prelie_product
-from treelie.tree_core import LabeledTree, act, act_parent
+from treelie.tree_core import LabeledTree, act, act_parent, act_parent_with, inverse_table
 
 unit = LabeledTree((0,))
 mu = LabeledTree((0, 1))
@@ -224,13 +224,16 @@ def check_operad_axioms(parents, max_arity):
                 out.append(None if same else witness % (tree(t), i, tree(s), j, tree(r)))
 
     for a, b in itertools.product(trees, repeat=2):
-        # the block permutation of every (sigma, i, tau), computed once per arity pair
-        blocks = [(sigma, tau, [compose_permutation(sigma, i, tau) for i in range(1, a + 1)])
-                  for sigma, tau in itertools.product(perms[a], perms[b])]
+        # the block permutation of every (sigma, i, tau) and its inverse table,
+        # computed once per arity pair
+        blocks = []
+        for sigma, tau in itertools.product(perms[a], perms[b]):
+            rhos = [compose_permutation(sigma, i, tau) for i in range(1, a + 1)]
+            blocks.append((sigma, tau, [(rho, inverse_table(rho)) for rho in rhos]))
         for t, s in itertools.product(trees[a], trees[b]):
             for sigma, tau, rhos in blocks:
-                for i, rho in enumerate(rhos, 1):
-                    rhs = {act_parent(rho, p): c for p, c in o[t, sigma[i - 1], s].items()}
+                for i, (rho, inv) in enumerate(rhos, 1):
+                    rhs = {act_parent_with(rho, inv, p): c for p, c in o[t, sigma[i - 1], s].items()}
                     same = o[acted[sigma, t], i, acted[tau, s]] == rhs
                     witness = "equivariance: sigma=%s tau=%s i=%d t=%s s=%s"
                     out.append(None if same else witness % (sigma, tau, i, tree(t), tree(s)))

@@ -18,6 +18,7 @@ isomorphism that also intertwines the coproducts.
 """
 
 import functools
+import itertools
 import json
 import math
 import random
@@ -32,7 +33,6 @@ from treelie.freemod import (
     accumulate,
     bilinear,
     expand_slot,
-    invert_matrix,
     linear,
     parse_rational,
     rank_of_family,
@@ -89,6 +89,23 @@ def degree_tuples(alg, slots, total):
                     yield (a,) + rest
 
     return walk(slots, total)
+
+
+def prelie_triples(alg, total):
+    """The triples ``(a, b, c)`` of ``degree_tuples(alg, 3, total)`` with ``b``
+    strictly before ``c`` in the degree-sorted basis, in the same order: one
+    of each pair ``(a, b, c)``, ``(a, c, b)``, and none with ``b == c``."""
+    buckets = [alg.basis(d) for d in range(1, total - 1)]
+    flat = [k for keys in buckets for k in keys]
+    upto = list(itertools.accumulate(map(len, buckets)))  # upto[d - 1]: keys of degree <= d
+    for a in flat:
+        budget = total - a.degree
+        for i, b in enumerate(flat):
+            rest = budget - b.degree
+            if rest < b.degree:
+                break
+            for c in flat[i + 1 : upto[rest - 1]]:
+                yield a, b, c
 
 
 def prelie_holds(alg, a, b, c):
@@ -376,21 +393,30 @@ def free_presentation(alphabet, max_degree):
 def change_of_basis(alg, seed):
     """Conjugate all structure constants by a random degree-preserving
     invertible map (seeded, exact); returns a new PresentedAlgebra whose
-    basis elements are named ``f<degree>_<index>``."""
+    basis elements are named ``f<degree>_<index>``.
+
+    Each degree's map is a product of elementary row additions, so it has
+    determinant 1 and an integer inverse, built alongside it by undoing each
+    row operation on the right.  An integral algebra (such as a free one)
+    therefore keeps integral structure constants, all of them ``int``."""
     rng = random.Random(seed)
     degrees = alg.degrees()
     mats, invs = {}, {}
     for d in degrees:
         m = len(alg.basis(d))
-        mat = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+        mat = [[int(i == j) for j in range(m)] for i in range(m)]
+        inv = [list(row) for row in mat]
         for _ in range(3 * m):
             i, j = rng.randrange(m), rng.randrange(m)
             if i == j:
                 continue
             lam = rng.choice([-2, -1, 1, 2])
             mat[j] = [a + lam * b for a, b in zip(mat[j], mat[i])]
+            # mat became E @ mat with E = I + lam e_j e_i^T, so inv becomes inv @ E^-1
+            for row in inv:
+                row[i] -= lam * row[j]
         mats[d] = mat
-        invs[d] = invert_matrix(mat)
+        invs[d] = inv
 
     names = {d: ["f%d_%d" % (d, i) for i in range(len(alg.basis(d)))] for d in degrees}
     # old basis key -> its coordinates in the new basis: a sparse column of the inverse
@@ -470,9 +496,13 @@ def validate(alg, max_degree, limit=5):
     if failures:
         return failures
 
-    for a, b, c in degree_tuples(alg, 3, max_degree):
-        if not prelie_holds(alg, a, b, c):
-            fail("pre-Lie relation fails at (%s, %s, %s)" % (a, b, c))
+    # the relation at (a, b, c) and at (a, c, b) is one equation, and holds
+    # when b == c; only on a failure are all ordered triples walked, so that
+    # the failures are listed in that walk's order
+    if not all(prelie_holds(alg, a, b, c) for a, b, c in prelie_triples(alg, max_degree)):
+        for a, b, c in degree_tuples(alg, 3, max_degree):
+            if not prelie_holds(alg, a, b, c):
+                fail("pre-Lie relation fails at (%s, %s, %s)" % (a, b, c))
     return failures
 
 

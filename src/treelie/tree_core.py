@@ -424,7 +424,19 @@ def act(sigma, tree):
 def act_parent(sigma, parent):
     """``act`` on a parent tuple, for a ``sigma`` already known to be a
     permutation of its ids."""
-    inv = [0] * (len(sigma) + 1)  # inv[0] = 0 keeps the root a root
+    return act_parent_with(sigma, inverse_table(sigma), parent)
+
+
+def inverse_table(sigma):
+    """The list ``inv`` with ``inv[sigma[i - 1]] == i`` and ``inv[0] == 0``
+    (the root stays a root), which ``act_parent_with`` reads."""
+    inv = [0] * (len(sigma) + 1)
     for i, s in enumerate(sigma, 1):
         inv[s] = i
+    return inv
+
+
+def act_parent_with(sigma, inv, parent):
+    """``act_parent`` given ``inv = inverse_table(sigma)``, for callers that
+    act by one permutation on many trees."""
     return tuple([inv[parent[s - 1]] for s in sigma])

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 import types
 
@@ -500,3 +504,23 @@ def test_every_refusal_is_one_stderr_line(capsys, monkeypatch, argv, change):
     assert "Traceback" not in err
     if code in (2, 4):
         assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv", [["enumerate", "labeled", "6"], ["present", "a,b", "5"]])
+def test_closed_stdout_exits_4_with_one_line(argv):
+    """A reader that closes the pipe early (``| head -1``): the command stops
+    with exit 4 and one stderr line, not a ``BrokenPipeError`` traceback.
+    Both outputs are larger than a pipe's buffer, so the writer is still
+    writing when the pipe closes."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(src)
+    command = [sys.executable, "-m", "treelie.cli", *argv]
+    with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert code == 4
+    assert "Traceback" not in err
+    assert err.startswith("i/o error: stdout closed") and err.count("\n") == 1 and err.endswith("\n")

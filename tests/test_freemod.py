@@ -86,13 +86,49 @@ def test_public_constructors_reject_floats():
 
 
 def test_parse_rational_keeps_integers_as_int():
-    for text, value in (("1", 1), ("-3", -3), ("4/2", 2), ("0", 0), ("2.0", 2)):
+    # "\u0663" (ARABIC-INDIC DIGIT THREE) is a decimal digit Fraction reads;
+    # "\u00b2" (SUPERSCRIPT TWO) passes str.isdigit but is no decimal digit
+    integral = [("1", 1), ("-3", -3), ("4/2", 2), ("0", 0), ("2.0", 2), ("-007", -7), ("-0", 0)]
+    integral += [("+3", 3), (" 3", 3), ("3 ", 3), ("1_0", 10), ("\u0663", 3), ("1e2", 100)]
+    for text, value in integral:
         assert parse_rational(text) == value and type(parse_rational(text)) is int
     for text, value in (("1/2", Fraction(1, 2)), ("-6/4", Fraction(-3, 2)), ("1.5", Fraction(3, 2))):
         assert parse_rational(text) == value and type(parse_rational(text)) is Fraction
-    for bad in (1, 1.0, 0.5, "x", "1/0"):
+    for bad in (1, 1.0, 0.5, "x", "1/0", "\u00b2", "-", "", "--1"):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+def _through_fraction(text):
+    """``parse_rational`` as it read every text before its integer fast path:
+    the length bound, then ``Fraction``, integral values as ``int``."""
+    if len(text) > MAX_RATIONAL_TEXT:
+        raise ValueError("too long")
+    q = Fraction(text)
+    return q.numerator if q.denominator == 1 else q
+
+
+_INTEGER_NEAR_MISSES = ["+3", " 3", "3 ", "1_0", "\u0663", "\u00b2", "-", "", "--1", "3.0", "1e2", "1/2"]
+_INTEGER_NEAR_MISSES.append("1" * (MAX_RATIONAL_TEXT + 1))
+integer_texts = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["", "-"]),
+    st.text("0", max_size=3),
+    st.text("0123456789", min_size=1, max_size=40),
+)
+
+
+@settings(max_examples=200)
+@given(integer_texts | st.sampled_from(_INTEGER_NEAR_MISSES))
+def test_parse_rational_integer_fast_path_matches_fraction(text):
+    try:
+        want = _through_fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+        return
+    got = parse_rational(text)
+    assert got == want and type(got) is type(want)
 
 
 _digits = st.lists(st.text("0123456789", min_size=1, max_size=12), min_size=1, max_size=3).map("_".join)

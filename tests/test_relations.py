@@ -15,6 +15,8 @@ from treelie.rigidity import (
     PresentedAlgebra,
     degree_tuples,
     free_presentation,
+    prelie_holds,
+    prelie_triples,
     validate,
 )
 
@@ -38,6 +40,26 @@ def test_degree_tuples_skip_empty_degrees():
         assert list(degree_tuples(alg, slots, total)) == scan
 
 
+def _before(alg, total):
+    """The triples of ``degree_tuples(alg, 3, total)`` whose second key comes
+    strictly before the third in the degree-sorted basis."""
+    position = {k: i for i, k in enumerate(k for d in range(1, total + 1) for k in alg.basis(d))}
+    return [(a, b, c) for a, b, c in degree_tuples(alg, 3, total) if position[b] < position[c]]
+
+
+@pytest.mark.parametrize("alphabet", [("a",), ("a", "b")])
+def test_prelie_triples_are_the_ordered_triples_with_b_before_c(alphabet):
+    alg = FreeTreeAlgebra(alphabet)
+    for total in range(0, 8):
+        assert list(prelie_triples(alg, total)) == _before(alg, total)
+
+
+def test_prelie_triples_skip_empty_degrees():
+    alg = PresentedAlgebra({1: ["x"], 3: ["y", "z"], 4: ["w"]}, {}, {})
+    for total in range(0, 10):
+        assert list(prelie_triples(alg, total)) == _before(alg, total)
+
+
 # -- validate against the old pair and triple scans ----------------------------
 
 BASES = {"a": (["a"], 5), "a,b": (["a", "b"], 3), "a4": (["a"], 4)}
@@ -50,7 +72,10 @@ def _base_doc(name):
     return _DOCS[name]
 
 
-def _perturb(doc, data):
+KINDS = ["product", "coproduct", "product degree", "coproduct degree", "new in product", "new coproduct"]
+
+
+def _perturb(doc, data, kinds=KINDS):
     """One random change: a product or coproduct coefficient (possibly to zero),
     an extra term of the wrong degree, or a new top-degree basis element ``p``,
     either added to a product landing there (which can break the pre-Lie
@@ -58,7 +83,6 @@ def _perturb(doc, data):
     degree = {n: int(d) for d, names in doc["generators"].items() for n in names}
     names, top = sorted(degree), max(degree.values())
     pairs = sorted((a, b) for a in doc["product"] for b in doc["product"][a])
-    kinds = ["product", "coproduct", "product degree", "coproduct degree", "new in product", "new coproduct"]
     kind = data.draw(st.sampled_from(kinds))
     coeff = data.draw(st.sampled_from(["0", "-1", "2", "1/2"] if kind in ("product", "coproduct") else ["1", "-3"]))
     if kind == "product":
@@ -103,6 +127,25 @@ def test_validate_matches_the_oracle_on_perturbed_constants(base, limit, data):
         _perturb(doc, data)
     top = BASES[base][1]
     _same_failures(doc, data.draw(st.sampled_from([top, top, top - 1])), limit)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(BASES)), st.data())
+def test_halved_prelie_walk_fails_exactly_when_the_full_walk_fails(base, data):
+    """``validate``'s pre-Lie pass walks ``prelie_triples`` and falls back to
+    every ordered triple on a failure: the two walks give the same verdict,
+    and ``validate`` prints what the full walk of the oracle prints."""
+    doc = copy.deepcopy(_base_doc(base))
+    # a new basis element added to one product can break the pre-Lie relation alone
+    kinds = data.draw(st.sampled_from([KINDS, ["new in product"]]))
+    for _ in range(data.draw(st.integers(1, 2))):
+        _perturb(doc, data, kinds)
+    max_degree = data.draw(st.sampled_from([BASES[base][1], BASES[base][1] - 1]))
+    alg = PresentedAlgebra.from_json(doc)
+    halved = all(prelie_holds(alg, *t) for t in prelie_triples(alg, max_degree))
+    full = all(prelie_holds(alg, *t) for t in degree_tuples(alg, 3, max_degree))
+    assert halved == full
+    _same_failures(doc, max_degree, 5)
 
 
 def _with_primitive(product_pair=None, coproduct=()):

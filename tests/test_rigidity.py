@@ -354,11 +354,36 @@ def test_reconstruction_after_change_of_basis():
         assert rep.dims() == [1, 1, 2, 4]
 
 
-@pytest.mark.parametrize("alphabet,max_degree,seed", [(["a"], 5, 1), (["a"], 4, 7), (["a", "b"], 3, 2)])
+@pytest.mark.parametrize(
+    "alphabet,max_degree,seed",
+    [
+        (["a"], 5, 1),
+        (["a"], 4, 7),
+        (["a", "b"], 3, 2),
+        (["a"], 6, 3),
+        (["a"], 5, 11),
+        (["a", "b"], 3, 9),
+        (["a", "b", "c"], 3, 4),
+    ],
+)
 def test_change_of_basis_matches_dense_oracle(alphabet, max_degree, seed):
+    """The integer matrices and the inverse built by undoing each row
+    operation give the document of the ``Fraction`` matrices inverted by
+    elimination."""
     free = free_presentation(alphabet, max_degree)
     expected = oracle_change_of_basis(free, seed).to_json()
     assert change_of_basis(free, seed).to_json() == expected
+
+
+@pytest.mark.parametrize("alphabet,max_degree", [(["a"], 5), (["a", "b"], 3)])
+def test_change_of_basis_constants_are_int(alphabet, max_degree):
+    free = free_presentation(alphabet, max_degree)
+    for seed in range(20):
+        alg = change_of_basis(free, seed)
+        keys = [k for d in alg.degrees() for k in alg.basis(d)]
+        coefficients = [c for a in keys for b in keys for c in alg.product_basis(a, b).terms.values()]
+        coefficients += [c for a in keys for c in alg.coproduct_basis(a).terms.values()]
+        assert coefficients and all(type(c) is int for c in coefficients)
 
 
 def test_loaded_integer_constants_are_int():

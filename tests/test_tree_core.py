@@ -13,11 +13,13 @@ from treelie.tree_core import (
     TreeSyntaxError,
     act,
     act_parent,
+    act_parent_with,
     automorphism_count,
     enumerate_heap_ordered,
     enumerate_labeled,
     enumerate_trees,
     graft,
+    inverse_table,
     iter_heap_ordered,
     iter_labeled,
     leaf,
@@ -403,6 +405,20 @@ def test_act_parent_matches_act():
             for sigma in perms:
                 got = act_parent(sigma, t.parent)
                 assert got == act(sigma, t).parent
+                assert [0 if p == 0 else sigma[p - 1] for p in got] == [t.parent[v - 1] for v in sigma]
+
+
+def test_act_parent_with_one_inverse_table_matches_act_parent():
+    # one table per permutation, read for every tree of its arity, as the
+    # operad walk's equivariance cases do
+    for n in range(1, 5):
+        trees = enumerate_labeled(n)
+        for sigma in itertools.permutations(range(1, n + 1)):
+            inv = inverse_table(sigma)
+            assert inv[0] == 0 and [inv[s] for s in sigma] == list(range(1, n + 1))
+            for t in trees:
+                got = act_parent_with(sigma, inv, t.parent)
+                assert got == act_parent(sigma, t.parent)
                 assert [0 if p == 0 else sigma[p - 1] for p in got] == [t.parent[v - 1] for v in sigma]
 
 
