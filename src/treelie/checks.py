@@ -648,10 +648,12 @@ def check_reconstruction(max_degree, seed):
         rep = reconstruct(presented, max_degree)
         detail = "dims %s" % ",".join(str(d) for d in rep.dims()) if rep.ok else rep.summary().splitlines()[0]
         results.append(CheckResult(name, rep.ok and rep.dims() == expected, detail))
-    doc = alg.to_json()
+    # the perturbed basis element a[a] has degree 2
+    degree = max(max_degree, 2)
+    doc = (alg if degree == max_degree else free_presentation(ONE_LETTER, degree)).to_json()
     doc["coproduct"]["a[a]"] = [["2", "a", "a"]]
     bad = PresentedAlgebra.from_json(doc)
-    rep3 = reconstruct(bad, max_degree)
+    rep3 = reconstruct(bad, degree)
     results.append(CheckResult(
         "perturbed coproduct is rejected at validation",
         bool(rep3.validation_failures) and not rep3.degrees,

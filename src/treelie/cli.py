@@ -8,6 +8,11 @@ Exit codes: 0 success, 1 check/reconstruction failure, 2 usage or parse
 error, 3 validation failure, 4 I/O error.  Every refusal, argparse's own
 included, is raised as ``Refused`` and printed by ``main`` as one stderr line;
 so is a stdout that its reader closed early (exit 4).
+
+The ``treelie`` command and ``python -m treelie.cli`` enter through ``run``,
+which ends the process without the interpreter's teardown; tests call
+``main``.  ``check`` imports its suites, and ``reconstruct`` and ``present``
+import ``json``, only when they run.
 """
 
 import argparse
@@ -15,7 +20,7 @@ import itertools
 import os
 import sys
 
-from treelie import checks, rigidity, tree_core
+from treelie import rigidity, tree_core
 from treelie.freemod import Element
 from treelie.nap_coalgebra import delta_k
 from treelie.prelie import nap_product, prelie_product
@@ -56,6 +61,9 @@ MAX_PRESENT_PAIRS = 300_000
 MAX_RECONSTRUCT_DEGREE = 64
 # ``enumerate`` writes its lines in chunks of this many, one ``print`` each.
 ENUMERATE_CHUNK = 4096
+# The names of ``checks.SUITES``, sorted, so that building the parser does
+# not import the suites.
+CHECK_SUITES = ("coalgebra", "dlaw", "fundamental", "nap", "operads", "prelie", "section4")
 
 
 class Refused(Exception):
@@ -102,7 +110,7 @@ def _build_parser():
     p.add_argument("tree")
 
     p = verb("check", cmd_check, "run an identity suite")
-    p.add_argument("suite", choices=sorted(checks.SUITES) + ["all"])
+    p.add_argument("suite", choices=CHECK_SUITES + ("all",))
     p.add_argument("max_degree", type=int)
     p.add_argument("seed", nargs="?", type=int, default=0)
 
@@ -171,6 +179,8 @@ def cmd_e(args):
 
 def cmd_check(args):
     _check_max_degree(args.max_degree, MAX_CHECK_DEGREE, "check")
+    from treelie import checks
+
     results = checks.run_suite(args.suite, args.max_degree, args.seed)
     for r in results:
         print(r.line())
@@ -270,5 +280,30 @@ def main(argv=None):
         return EXIT_IO
 
 
+def run():
+    """Entry point of the ``treelie`` command: ``main``, then the process ends
+    at once, skipping the interpreter's teardown (freeing every module and
+    cache one object at a time), which can take longer than a small job's own
+    algebra.  Handlers registered with ``atexit`` do not run.  Under a profiler
+    or tracer (``python -m cProfile``, a debugger, coverage) the process exits
+    normally, so that the tool can write its report."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    if _observed():
+        sys.exit(code)
+    os._exit(code)
+
+
+def _observed():
+    """Whether a profiler or tracer is installed: through ``sys.setprofile``
+    or ``sys.settrace``, or, from Python 3.12 on (where ``cProfile`` uses it),
+    as a ``sys.monitoring`` tool."""
+    if sys.getprofile() is not None or sys.gettrace() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(monitoring.get_tool(i) for i in range(6))
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -271,46 +271,6 @@ def _render_terms(items, render_key):
     return " ".join(parts)
 
 
-def parse_element(text, parse_key):
-    """Inverse of ``str(Element)``: ``0`` or signed ``coeff * key`` terms."""
-    return Element._trusted({k: c for (k,), c in parse_tensor_element(text, parse_key, 1).items()})
-
-
-def parse_tensor_element(text, parse_key, rank=None):
-    """Inverse of ``str(TensorElement)``; ``rank`` disambiguates a bare 0."""
-    text = text.strip()
-    if text == "0":
-        if rank is None:
-            raise ValueError("cannot infer the rank of a zero tensor")
-        return TensorElement(rank)
-    tokens = text.split(" ")
-    terms = []
-    pos = 0
-    sign = 1
-    seen_rank = rank
-    while pos < len(tokens):
-        if tokens[pos] in ("+", "-"):
-            sign = 1 if tokens[pos] == "+" else -1
-            pos += 1
-        c = sign * parse_rational(tokens[pos])
-        if pos + 2 >= len(tokens) or tokens[pos + 1] != "*":
-            raise ValueError("expected 'coeff * key' at %r" % " ".join(tokens[pos:]))
-        pos += 2
-        keys = [parse_key(tokens[pos])]
-        pos += 1
-        while pos + 1 < len(tokens) and tokens[pos] == "(x)":
-            keys.append(parse_key(tokens[pos + 1]))
-            pos += 2
-        keys = tuple(keys)
-        if seen_rank is None:
-            seen_rank = len(keys)
-        elif len(keys) != seen_rank:
-            raise ValueError("mixed tensor ranks %d and %d" % (seen_rank, len(keys)))
-        terms.append((keys, c))
-        sign = 1
-    return TensorElement._trusted(seen_rank, accumulate({}, terms))
-
-
 def tensor(*factors):
     """Tensor product of Elements, one slot per factor."""
     if not factors:
@@ -334,21 +294,6 @@ def expand_slot(t, slot, f, out_rank):
         head, tail = keys[:slot], keys[slot + 1 :]
         accumulate(acc, ((head + mid + tail, c2) for mid, c2 in f(keys[slot]).items()), c)
     return TensorElement._trusted(out_rank, acc)
-
-
-def permute_slots(t, sigma):
-    """Left action of a permutation: slot i of the result is old slot sigma(i).
-
-    ``sigma`` is a sequence with sigma[i-1] = sigma(i), so the result tuple is
-    ``(v_{sigma^{-1}(1)}, ..., v_{sigma^{-1}(n)})`` in the usual convention.
-    """
-    n = t.rank
-    if len(sigma) != n or sorted(sigma) != list(range(1, n + 1)):
-        raise ValueError("sigma must be a permutation of 1..%d" % n)
-    inv = [0] * n
-    for i, s in enumerate(sigma):
-        inv[s - 1] = i
-    return TensorElement._trusted(n, {tuple(keys[inv[i]] for i in range(n)): c for keys, c in t.items()})
 
 
 def swap_slots(t, i, j):
@@ -493,14 +438,6 @@ def invert_matrix(rows):
     if list(ech)[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return [[Fraction(row.get(n + j, 0)) for j in range(n)] for row in ech.values()]
-
-
-def element_vector(x, basis_index):
-    """Coefficient row of an Element over an indexed basis list."""
-    vec = [Fraction(0)] * len(basis_index)
-    for k, c in x.items():
-        vec[basis_index[k]] += c
-    return vec
 
 
 def rank_of_family(elements, degree):

@@ -19,7 +19,6 @@ isomorphism that also intertwines the coproducts.
 
 import functools
 import itertools
-import json
 import math
 import random
 import reprlib
@@ -323,6 +322,8 @@ class PresentedAlgebra(Algebra):
     def write(self, stream):
         """Write the document ``load`` reads: indented, keys sorted, one
         trailing newline."""
+        import json  # loaded by the verbs that read or write a document only
+
         json.dump(self.to_json(), stream, indent=1, sort_keys=True)
         stream.write("\n")
 
@@ -332,6 +333,8 @@ class PresentedAlgebra(Algebra):
 
     @classmethod
     def load(cls, path):
+        import json
+
         with open(path) as fh:
             try:
                 doc = json.load(fh, object_pairs_hook=_unique_keys)

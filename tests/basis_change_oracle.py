@@ -6,7 +6,9 @@ the oracle for the differential test."""
 import random
 from fractions import Fraction
 
-from treelie.freemod import Element, element_vector, invert_matrix, linear, tensor
+from dense_linalg import element_vector
+
+from treelie.freemod import Element, invert_matrix, linear, tensor
 from treelie.rigidity import PresentedAlgebra
 
 

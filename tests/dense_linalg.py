@@ -1,5 +1,6 @@
 """The dense ``Fraction`` row reduction that ``freemod`` used before its
-sparse kernel, kept as the oracle for the differential tests."""
+sparse kernel, kept as the oracle for the differential tests, and the dense
+coefficient rows it reduces."""
 
 from fractions import Fraction
 
@@ -75,3 +76,11 @@ def invert_matrix(rows):
 
 def transpose(rows):
     return [list(col) for col in zip(*rows)]
+
+
+def element_vector(x, basis_index):
+    """Coefficient row of an Element over an indexed basis list."""
+    vec = [Fraction(0)] * len(basis_index)
+    for k, c in x.items():
+        vec[basis_index[k]] += c
+    return vec

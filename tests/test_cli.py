@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import pathlib
@@ -7,11 +8,11 @@ import time
 import types
 
 import pytest
+from element_oracle import parse_element, parse_tensor_element
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from treelie import checks, cli, rigidity, tree_core
-from treelie.freemod import parse_element, parse_tensor_element
 from treelie.tree_core import parse_tree
 
 
@@ -506,17 +507,31 @@ def test_every_refusal_is_one_stderr_line(capsys, monkeypatch, argv, change):
         assert out == "" and err.count("\n") == 1 and err.endswith("\n")
 
 
+def _env():
+    """The environment of a fresh interpreter that imports this checkout's
+    ``treelie``."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(src)
+    return env
+
+
+def _process(*argv, prefix=("-m", "treelie.cli")):
+    """Exit code, stdout and stderr of ``python -m treelie.cli ARGV`` run as
+    its own process, which ends through ``cli.run``."""
+    command = [sys.executable, *prefix, *argv]
+    proc = subprocess.run(command, env=_env(), capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 @pytest.mark.parametrize("argv", [["enumerate", "labeled", "6"], ["present", "a,b", "5"]])
 def test_closed_stdout_exits_4_with_one_line(argv):
     """A reader that closes the pipe early (``| head -1``): the command stops
     with exit 4 and one stderr line, not a ``BrokenPipeError`` traceback.
     Both outputs are larger than a pipe's buffer, so the writer is still
     writing when the pipe closes."""
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
-    env["PYTHONPATH"] = str(src)
     command = [sys.executable, "-m", "treelie.cli", *argv]
-    with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+    with subprocess.Popen(command, env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         assert proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read().decode()
@@ -524,3 +539,74 @@ def test_closed_stdout_exits_4_with_one_line(argv):
     assert code == 4
     assert "Traceback" not in err
     assert err.startswith("i/o error: stdout closed") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.fixture(scope="module")
+def perturbed_a7(tmp_path_factory):
+    """``present a 7`` with the coproduct of ``a[a]`` doubled: exit 3."""
+    doc = rigidity.free_presentation(["a"], 7).to_json()
+    doc["coproduct"]["a[a]"] = [["2", "a", "a"]]
+    path = tmp_path_factory.mktemp("perturbed") / "perturbed-a7.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv,expected_code",
+    [
+        (["enumerate", "labeled", "7"], 0),
+        (["present", "a,b", "5"], 0),
+        (["check", "all", "x"], 2),
+        (["reconstruct", "{perturbed}", "7"], 3),
+        (["reconstruct", "{missing}", "4"], 4),
+    ],
+    ids=["enumerate-labeled-7", "present-ab-5", "refusal", "perturbed-a7", "missing-file"],
+)
+def test_process_prints_what_main_prints(capsys, tmp_path, perturbed_a7, argv, expected_code):
+    """The command as its own process, which ends by ``os._exit`` after
+    flushing, writes the same stdout and stderr and exits with the same
+    code as ``main`` called in process.  ``enumerate labeled 7`` writes
+    117,649 lines, far more than a pipe holds."""
+    argv = [a.format(perturbed=perturbed_a7, missing=tmp_path / "missing.json") for a in argv]
+    in_process = run_cli(capsys, *argv)
+    assert in_process[0] == expected_code
+    assert _process(*argv) == in_process
+
+
+def test_present_output_file_is_complete(tmp_path):
+    path = tmp_path / "free_a4.json"
+    assert _process("present", "a", "4", "-o", str(path)) == (0, "", "")
+    expected = io.StringIO()
+    rigidity.free_presentation(["a"], 4).write(expected)
+    assert path.read_text() == expected.getvalue()
+
+
+def test_profiler_still_prints_its_report():
+    """Under ``cProfile`` the process exits normally, so the profiler's
+    report follows the command's own output."""
+    code, out, err = _process("-m", "treelie.cli", "enumerate", "trees", "a", "3", prefix=("-m", "cProfile"))
+    assert code == 0 and err == "count: 2\n"
+    assert out.startswith("a[a,a]\na[a[a]]\n")
+    assert "function calls" in out and "Ordered by:" in out
+
+
+def test_import_loads_neither_the_suites_nor_json():
+    """``import treelie.cli`` in a fresh interpreter leaves the modules that
+    only some verbs use unloaded."""
+    probe = "import sys, treelie.cli; print([m for m in %r if m in sys.modules])"
+    code, out, err = _process(prefix=("-c", probe % (("json", "treelie.checks", "treelie.operads"),)))
+    assert (code, out, err) == (0, "[]\n", "")
+
+
+def test_check_suite_names_are_the_suites():
+    assert cli.CHECK_SUITES == tuple(sorted(checks.SUITES))
+
+
+def test_check_all_at_degree_1_passes(capsys):
+    """Unstubbed: the perturbed-coproduct check builds its document at
+    degree 2, where the perturbed element ``a[a]`` lives."""
+    code, out, err = run_cli(capsys, "check", "all", "1")
+    lines = out.splitlines()
+    assert (code, err) == (0, "")
+    assert lines[-1] == "%d/%d checks passed" % (len(lines) - 1, len(lines) - 1)
+    assert "ok perturbed coproduct is rejected at validation: distributive law fails at (a, a)" in lines

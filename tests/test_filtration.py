@@ -10,12 +10,12 @@ from fractions import Fraction
 
 import pytest
 import validate_oracle
-from dense_linalg import echelon, in_row_span, nullspace, reduce_mod_rows, transpose
+from dense_linalg import echelon, element_vector, in_row_span, nullspace, reduce_mod_rows, transpose
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treelie import checks, cli, rigidity, tree_core
-from treelie.freemod import Element, Filtration, TensorElement, accumulate, element_vector, filtration_degree
+from treelie.freemod import Element, Filtration, TensorElement, accumulate, filtration_degree
 from treelie.nap_coalgebra import coproduct_basis
 from treelie.tree_core import parse_tree
 

@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from element_oracle import parse_element, parse_tensor_element, permute_slots
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,10 +20,7 @@ from treelie.freemod import (
     is_invariant_1k,
     linear,
     nullspace,
-    parse_element,
     parse_rational,
-    parse_tensor_element,
-    permute_slots,
     rank_of_family,
     swap_slots,
     tensor,

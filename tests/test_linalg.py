@@ -6,13 +6,13 @@ from fractions import Fraction
 
 import dense_linalg as dense
 import pytest
+from dense_linalg import element_vector
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treelie.freemod import (
     Element,
     echelon,
-    element_vector,
     invert_matrix,
     nullspace,
     rank_of_family,

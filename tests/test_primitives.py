@@ -7,10 +7,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from dense_linalg import echelon
+from dense_linalg import echelon, element_vector
 
 from treelie import checks, rigidity
-from treelie.freemod import Element, accumulate, element_vector, linear
+from treelie.freemod import Element, accumulate, linear
 from treelie.rigidity import (
     FreeTreeAlgebra,
     ak_apply,
