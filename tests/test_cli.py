@@ -517,8 +517,9 @@ def _env():
 
 
 def _process(*argv, prefix=("-m", "treelie.cli")):
-    """Exit code, stdout and stderr of ``python -m treelie.cli ARGV`` run as
-    its own process, which ends through ``cli.run``."""
+    """Exit code, stdout and stderr of ``python PREFIX ARGV`` run as its own
+    process; the default prefix runs the command, which ends through
+    ``cli.run``."""
     command = [sys.executable, *prefix, *argv]
     proc = subprocess.run(command, env=_env(), capture_output=True, text=True, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
