@@ -57,6 +57,8 @@ REPEATS = 3
 # almost no algebra: it times a cold start, interpreter plus imports.
 JOBS = [("product prelie a b", ["product", "prelie", "a", "b"], None)]
 JOBS += [("check %s 5 42" % suite, ["check", suite, "5", "42"], None) for suite in ("operads", "all")]
+# the two suites whose size the check limit, 8, bounds: e's A_k cache and the cofreeness walk
+JOBS += [("check %s 8 42" % suite, ["check", suite, "8", "42"], None) for suite in ("fundamental", "coalgebra")]
 JOBS += [("enumerate labeled %d" % n, ["enumerate", "labeled", str(n)], None) for n in (7, 8)]
 JOBS += [
     ("reconstruct present %s %d" % (alphabet, n), ["reconstruct", "{input}", str(n)], (alphabet, n))

@@ -307,27 +307,38 @@ def check_cofreeness_pairing(alphabet, max_degree):
     |Aut A| |Aut B| <Delta(T), A (x) B> = |Aut T| <T, A . B>; the plain
     Kronecker form holds whenever all three automorphism groups are trivial.
     """
-
-    def cases():
-        for t in _basis_upto(alphabet, max_degree):
-            d = coproduct(Element.of(t))
-            aut_t = tree_core.automorphism_count(t)
-            for da in range(1, t.degree):
-                for a in tree_core.enumerate_trees(alphabet, da):
-                    aut_a = tree_core.automorphism_count(a)
-                    for b in tree_core.enumerate_trees(alphabet, t.degree - da):
-                        aut_b = tree_core.automorphism_count(b)
-                        lhs = tensor_pairing(d, tensor(Element.of(a), Element.of(b)))
-                        rhs = kronecker_pairing(Element.of(t), nap_product(Element.of(a), Element.of(b)))
-                        if aut_a * aut_b * lhs != aut_t * rhs:
-                            yield "T=%s A=%s B=%s" % (t, a, b)
-                        elif aut_t == aut_a == aut_b == 1 and lhs != rhs:
-                            yield "plain pairing: T=%s A=%s B=%s" % (t, a, b)
-                        else:
-                            yield None
-
     name = "coproduct is the graded-dual transpose of the root graft (degree <= %d)" % max_degree
-    return _run(name, cases())
+    return _run(name, cofreeness_outcomes(alphabet, max_degree))
+
+
+def cofreeness_outcomes(alphabet, max_degree):
+    """The cases of ``check_cofreeness_pairing``, one per triple (T, A, B)
+    with degree(A) + degree(B) = degree(T), in the order of T, then of A,
+    then of B.  Degree by degree, the pairs (A, B) are laid out once, with
+    A (x) B, A . B and |Aut A| |Aut B|, and every tree T of that degree
+    walks the table."""
+    aut = {t: tree_core.automorphism_count(t) for t in _basis_upto(alphabet, max_degree)}
+    for n in range(2, max_degree + 1):
+        pairs = []
+        for da in range(1, n):
+            for a in tree_core.enumerate_trees(alphabet, da):
+                ea = Element.of(a)
+                for b in tree_core.enumerate_trees(alphabet, n - da):
+                    eb = Element.of(b)
+                    pairs.append((a, b, aut[a] * aut[b], tensor(ea, eb), nap_product(ea, eb)))
+        for t in tree_core.enumerate_trees(alphabet, n):
+            et = Element.of(t)
+            d = coproduct(et)
+            aut_t = aut[t]
+            for a, b, aut_ab, ab, graft in pairs:
+                lhs = tensor_pairing(d, ab)
+                rhs = kronecker_pairing(et, graft)
+                if aut_ab * lhs != aut_t * rhs:
+                    yield "T=%s A=%s B=%s" % (t, a, b)
+                elif aut_t == aut_ab == 1 and lhs != rhs:
+                    yield "plain pairing: T=%s A=%s B=%s" % (t, a, b)
+                else:
+                    yield None
 
 
 def check_primitives(alphabet, max_degree):

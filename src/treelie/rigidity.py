@@ -514,20 +514,25 @@ def validate(alg, max_degree, limit=5):
 
 
 def _ak_tuple(keys, alg, cache):
+    """A_k on one tuple of basis keys, stored in ``cache`` under the tuple."""
     got = cache.get(keys)
     if got is None:
-        k = len(keys)
-        if k == 1:
-            got = Element.of(keys[0])
-        else:
-            acc = {}
-            for l in range(1, k):
-                left = _ak_tuple(keys[:l], alg, cache)
-                right = _ak_tuple(keys[l:], alg, cache)
-                accumulate(acc, alg.product(left, right).items(), math.comb(k - 2, l - 1))
-            got = Element._trusted(acc)
-        cache[keys] = got
+        got = cache[keys] = _ak_splits(keys, alg, cache)
     return got
+
+
+def _ak_splits(keys, alg, cache):
+    """A_k on one tuple of basis keys, summed over its splits from the cached
+    values of its proper sub-tuples; the tuple itself is not stored."""
+    k = len(keys)
+    if k == 1:
+        return Element.of(keys[0])
+    acc = {}
+    for l in range(1, k):
+        left = _ak_tuple(keys[:l], alg, cache)
+        right = _ak_tuple(keys[l:], alg, cache)
+        accumulate(acc, alg.product(left, right).items(), math.comb(k - 2, l - 1))
+    return Element._trusted(acc)
 
 
 def ak_apply(k, x, alg):
@@ -586,8 +591,14 @@ def idempotent_e(x, alg):
     algebra, so linear extension is cheap.  A basis value is summed as n! e(t)
     with n = degree(t): the iterates stop at k <= n, so every weight n!/k!
     is an integer, and each term is divided by n! once at the end.
+
+    A_{k+1} of a term of Delta^k(t) is not stored: the term determines t,
+    whose value is cached, so it is read again only as a proper sub-tuple of
+    a larger tree's term, and is stored then.  Only the proper sub-tuples
+    enter the ``ak`` cache.
     """
     cache = alg.cache("e")
+    ak = alg.cache("ak")
 
     def on_basis(t):
         got = cache.get(t)
@@ -595,7 +606,8 @@ def idempotent_e(x, alg):
             n = math.factorial(t.degree)
             terms = {t: n}
             for k, dk in _delta_iterates(t, alg):
-                accumulate(terms, ak_apply(k + 1, dk, alg).items(), (-1) ** k * (n // math.factorial(k)))
+                value = linear(lambda keys: _ak_splits(keys, alg, ak), dk)
+                accumulate(terms, value.items(), (-1) ** k * (n // math.factorial(k)))
             terms = {s: c // n if c % n == 0 else Fraction(c, n) for s, c in terms.items()}
             got = cache[t] = Element._trusted(terms)
         return got

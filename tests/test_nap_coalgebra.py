@@ -1,8 +1,9 @@
 import random
 
+import cofreeness_oracle
 import pytest
 
-from treelie import checks
+from treelie import checks, nap_coalgebra
 from treelie.freemod import Element, TensorElement, is_invariant_1k
 from treelie.nap_coalgebra import (
     coproduct,
@@ -117,6 +118,35 @@ def test_cooperation_vanishing():
 def test_cofreeness_pairing():
     assert checks.check_cofreeness_pairing(("a",), 5).ok
     assert checks.check_cofreeness_pairing(("a", "b"), 4).ok
+
+
+COFREENESS_CASES = [(("a",), 6, "a[a,a]"), (("a", "b"), 4, "a[b,b]")]
+
+
+@pytest.mark.parametrize("alphabet,max_degree,doubled", COFREENESS_CASES)
+def test_cofreeness_walk_matches_per_triple_oracle(monkeypatch, alphabet, max_degree, doubled):
+    """The degree-by-degree pair table yields the per-triple walk's outcomes,
+    in order: on the free coalgebra, and with the coproduct of one tree
+    (which has a nontrivial automorphism) doubled, so that the witnesses are
+    compared too."""
+    expected = list(cofreeness_oracle.cofreeness_outcomes(alphabet, max_degree))
+    assert list(checks.cofreeness_outcomes(alphabet, max_degree)) == expected
+    assert len(expected) > 100 and not any(expected)
+
+    target = parse_tree(doubled)
+
+    def doubled_coproduct(x):
+        d = coproduct(x)
+        return 2 * d if x.terms.keys() == {target} else d
+
+    monkeypatch.setattr(checks, "coproduct", doubled_coproduct)
+    monkeypatch.setattr(nap_coalgebra, "coproduct", doubled_coproduct)
+    expected = list(cofreeness_oracle.cofreeness_outcomes(alphabet, max_degree))
+    witnesses = [w for w in expected if w is not None]
+    assert witnesses and all(w.startswith("T=%s " % doubled) for w in witnesses)
+    assert list(checks.cofreeness_outcomes(alphabet, max_degree)) == expected
+    result = checks.check_cofreeness_pairing(alphabet, max_degree)
+    assert not result.ok and result.detail == witnesses[0]
 
 
 def test_pairing_basics():

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from dense_linalg import echelon, element_vector
 
-from treelie import checks, rigidity
+from treelie import checks, rigidity, tree_core
 from treelie.freemod import Element, accumulate, linear
 from treelie.rigidity import (
     FreeTreeAlgebra,
@@ -115,3 +115,17 @@ def test_integer_projector_matches_fraction_oracle(alg, max_degree):
         values.extend(got.terms.values())
     assert all(type(c) is int or c.denominator != 1 for c in values)  # an int when integral
     assert any(type(c) is Fraction for c in values) == isinstance(alg, HalvedProducts)
+
+
+def test_projector_stores_no_iterated_coproduct_term():
+    """e(t) sums A_{k+1} over the terms of Delta^k(t) without storing them in
+    the ``ak`` cache: each term determines t, whose value e caches, so only
+    proper sub-tuples of the terms are read again."""
+    trees = [t for d in range(1, 6) for t in tree_core.enumerate_trees(("a", "b"), d)]
+    assert len(trees) == 286
+    for t in trees:
+        alg = FreeTreeAlgebra(["a", "b"])
+        got = idempotent_e(Element.of(t), alg)
+        assert got == oracle_idempotent_e(Element.of(t), FreeTreeAlgebra(["a", "b"]))
+        terms = {keys for _, dk in rigidity._delta_iterates(t, alg) for keys in dk.terms}
+        assert not terms & alg.cache("ak").keys()
