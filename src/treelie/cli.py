@@ -11,20 +11,20 @@ so is a stdout that its reader closed early (exit 4).
 
 The ``treelie`` command and ``python -m treelie.cli`` enter through ``run``,
 which ends the process without the interpreter's teardown; tests call
-``main``.  ``check`` imports its suites, and ``reconstruct`` and ``present``
-import ``json``, only when they run.
+``main``.  The grammar is one table, ``VERBS``: ``main`` reads an argv of a
+verb and plain words that fit it straight from the table, and imports
+argparse, which builds its parser from the same table, only for the rest
+(help, options and usage errors).  Each verb imports the algebra it uses when
+it runs: ``enumerate`` loads ``tree_core`` alone, ``check`` its suites, and
+``reconstruct`` and ``present`` ``rigidity`` and ``json``.
 """
 
-import argparse
 import itertools
 import os
 import sys
+import types
 
-from treelie import rigidity, tree_core
-from treelie.freemod import Element
-from treelie.nap_coalgebra import delta_k
-from treelie.prelie import nap_product, prelie_product
-from treelie.tree_core import TreeSyntaxError
+from treelie import tree_core
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -77,65 +77,12 @@ class Refused(Exception):
         self.code = code
 
 
-class _Parser(argparse.ArgumentParser):
-    """Argparse's usage errors as one-line refusals; the subparsers are built
-    from this class too."""
-
-    def error(self, message):
-        raise Refused("%s: error: %s" % (self.prog, message))
-
-
-def _build_parser():
-    parser = _Parser(
-        prog="treelie",
-        description="Exact computer algebra on rooted trees: grafting products, "
-        "the permutative coproduct, the primitive projector and freeness "
-        "reconstruction.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def verb(name, run, help):
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(run=run)
-        return p
-
-    p = verb("product", cmd_product, "product of two trees")
-    p.add_argument("kind", choices=["prelie", "nap"])
-    p.add_argument("lhs", help="tree in grammar form, e.g. a[b,c[d]]")
-    p.add_argument("rhs")
-
-    p = verb("coproduct", cmd_coproduct, "k-th iterated coproduct of a tree")
-    p.add_argument("tree")
-    p.add_argument("k", nargs="?", type=int, default=1)
-
-    p = verb("e", cmd_e, "primitive projector applied to a tree")
-    p.add_argument("tree")
-
-    p = verb("check", cmd_check, "run an identity suite")
-    p.add_argument("suite", choices=CHECK_SUITES + ("all",))
-    p.add_argument("max_degree", type=int)
-    p.add_argument("seed", nargs="?", type=int, default=0)
-
-    p = verb("reconstruct", cmd_reconstruct, "validate and reconstruct a presented algebra")
-    p.add_argument("file")
-    p.add_argument("max_degree", type=int)
-
-    p = verb("enumerate", cmd_enumerate, "list trees of one kind")
-    p.add_argument("kind", choices=["trees", "labeled", "heap"])
-    p.add_argument("params", nargs="+", help="trees: ALPHABET DEGREE; labeled/heap: N")
-
-    p = verb("present", cmd_present, "emit the structure constants of a free tree algebra as JSON")
-    p.add_argument("alphabet", help="comma-separated generator labels, e.g. a or a,b")
-    p.add_argument("max_degree", type=int)
-    p.add_argument("-o", "--output", help="write to a file instead of stdout")
-
-    return parser
-
-
 def _parse_tree_arg(text):
+    from treelie.freemod import Element
+
     try:
         return Element.of(tree_core.parse_tree(text))
-    except (TreeSyntaxError, ValueError) as exc:
+    except (tree_core.TreeSyntaxError, ValueError) as exc:
         raise Refused("parse error: %s" % exc) from None
 
 
@@ -154,6 +101,8 @@ def _check_max_degree(max_degree, limit, verb):
 
 
 def cmd_product(args):
+    from treelie.prelie import nap_product, prelie_product
+
     x = _parse_tree_arg(args.lhs)
     y = _parse_tree_arg(args.rhs)
     product = prelie_product if args.kind == "prelie" else nap_product
@@ -161,16 +110,20 @@ def cmd_product(args):
 
 
 def cmd_coproduct(args):
+    from treelie import nap_coalgebra
+
     x = _parse_tree_arg(args.tree)
     if args.k < 0:
         raise Refused("k must be >= 0")
     degree = x.max_degree()
     if args.k >= 2 and degree > MAX_COPRODUCT_DEGREE:
         raise Refused("degree %d exceeds the coproduct limit %d for k >= 2" % (degree, MAX_COPRODUCT_DEGREE))
-    print(delta_k(x, args.k))
+    print(nap_coalgebra.delta_k(x, args.k))
 
 
 def cmd_e(args):
+    from treelie import rigidity
+
     x = _parse_tree_arg(args.tree)
     degree = x.max_degree()
     if degree > MAX_E_DEGREE:
@@ -194,6 +147,8 @@ def cmd_check(args):
 
 def cmd_reconstruct(args):
     _check_max_degree(args.max_degree, MAX_RECONSTRUCT_DEGREE, "reconstruct")
+    from treelie import rigidity
+
     try:
         alg = rigidity.PresentedAlgebra.load(args.file)
     except OSError as exc:
@@ -252,6 +207,8 @@ def cmd_present(args):
     if sum(t[d - 1] * t[e - 1] for d in range(1, n) for e in range(1, n + 1 - d)) > MAX_PRESENT_PAIRS:
         message = "degree %d on %s exceeds the present limit of %d product pairs"
         raise Refused(message % (args.max_degree, args.alphabet, MAX_PRESENT_PAIRS))
+    from treelie import rigidity
+
     alg = rigidity.free_presentation(alphabet, args.max_degree)
     if args.output:
         try:
@@ -262,9 +219,101 @@ def cmd_present(args):
         alg.write(sys.stdout)
 
 
+# The grammar: for each verb, its handler, its help line, its positionals in
+# order as (dest, keywords of ``add_argument``) and its options as (flags,
+# keywords naming the ``dest``).  Only a verb's last positional may be optional ("?") or
+# repeated ("+").  ``_build_parser`` builds argparse's parser from it, and
+# ``_read_argv`` reads well-formed argv with it without importing argparse.
+VERBS = {
+    "product": (cmd_product, "product of two trees", [
+        ("kind", {"choices": ["prelie", "nap"]}),
+        ("lhs", {"help": "tree in grammar form, e.g. a[b,c[d]]"}),
+        ("rhs", {}),
+    ], []),
+    "coproduct": (cmd_coproduct, "k-th iterated coproduct of a tree", [
+        ("tree", {}),
+        ("k", {"nargs": "?", "type": int, "default": 1}),
+    ], []),
+    "e": (cmd_e, "primitive projector applied to a tree", [("tree", {})], []),
+    "check": (cmd_check, "run an identity suite", [
+        ("suite", {"choices": CHECK_SUITES + ("all",)}),
+        ("max_degree", {"type": int}),
+        ("seed", {"nargs": "?", "type": int, "default": 0}),
+    ], []),
+    "reconstruct": (cmd_reconstruct, "validate and reconstruct a presented algebra", [
+        ("file", {}),
+        ("max_degree", {"type": int}),
+    ], []),
+    "enumerate": (cmd_enumerate, "list trees of one kind", [
+        ("kind", {"choices": ["trees", "labeled", "heap"]}),
+        ("params", {"nargs": "+", "help": "trees: ALPHABET DEGREE; labeled/heap: N"}),
+    ], []),
+    "present": (cmd_present, "emit the structure constants of a free tree algebra as JSON", [
+        ("alphabet", {"help": "comma-separated generator labels, e.g. a or a,b"}),
+        ("max_degree", {"type": int}),
+    ], [(("-o", "--output"), {"dest": "output", "help": "write to a file instead of stdout"})]),
+}
+
+
+def _read_argv(argv):
+    """The attributes ``_build_parser().parse_args(argv)`` would set, for a
+    known verb followed by words that fit its positionals; ``None`` for
+    anything else (a word starting with ``-``, such as ``-h``, an option, a
+    negative number or ``--``, and every usage error), which argparse reads."""
+    if not argv or argv[0] not in VERBS or any(a.startswith("-") for a in argv):
+        return None
+    run, _, positionals, options = VERBS[argv[0]]
+    words, last = argv[1:], positionals[-1][1].get("nargs")
+    required = len(positionals) - (last == "?")
+    if len(words) < required or (len(words) > len(positionals) and last != "+"):
+        return None
+    args = {"command": argv[0], "run": run}
+    args.update((spec["dest"], spec.get("default")) for _, spec in options)
+    for i, (dest, spec) in enumerate(positionals):
+        repeated, values = spec.get("nargs") == "+", []
+        for word in words[i:] if repeated else words[i : i + 1]:
+            try:
+                value = spec.get("type", str)(word)
+            except ValueError:
+                return None
+            if "choices" in spec and value not in spec["choices"]:
+                return None
+            values.append(value)
+        args[dest] = values if repeated else values[0] if values else spec["default"]
+    return types.SimpleNamespace(**args)
+
+
+def _build_parser():
+    """Argparse's parser for the grammar in ``VERBS``: it prints help and
+    reads what ``_read_argv`` leaves.  Its usage errors are one-line
+    refusals."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise Refused("%s: error: %s" % (self.prog, message))
+
+    parser = Parser(
+        prog="treelie",
+        description="Exact computer algebra on rooted trees: grafting products, "
+        "the permutative coproduct, the primitive projector and freeness "
+        "reconstruction.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (run, help, positionals, options) in VERBS.items():
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        for dest, spec in positionals:
+            p.add_argument(dest, **spec)
+        for flags, spec in options:
+            p.add_argument(*flags, **spec)
+    return parser
+
+
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _read_argv(argv) or _build_parser().parse_args(argv)
         code = args.run(args) or EXIT_OK
         sys.stdout.flush()  # a closed stdout is met here, not at interpreter exit
         return code

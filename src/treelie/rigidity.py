@@ -375,7 +375,8 @@ def _terms(terms, width, where, *keys):
 def free_presentation(alphabet, max_degree):
     """Structure constants of the free tree algebra, truncated at ``max_degree``.
 
-    Basis names are the canonical tree renderings.
+    Basis names are the canonical tree renderings.  Each pair's product is
+    read once, straight from the kernel, so none is cached.
     """
     alg = FreeTreeAlgebra(alphabet)
     generators = {d: [t.key for t in alg.basis(d)] for d in range(1, max_degree + 1)}
@@ -388,8 +389,8 @@ def free_presentation(alphabet, max_degree):
                 coproduct[s.key] = {(u.key, v.key): c for (u, v), c in cop.items()}
             for d2 in range(1, max_degree - d1 + 1):
                 for t in alg.basis(d2):
-                    prod = alg.product_basis(s, t)
-                    product[(s.key, t.key)] = {g.key: c for g, c in prod.items()}
+                    counts = kernel.prelie_counts(s, t)
+                    product[(s.key, t.key)] = {g.key: c for g, c in counts.items()}
     return PresentedAlgebra(generators, product, coproduct)
 
 

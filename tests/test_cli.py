@@ -12,7 +12,7 @@ from element_oracle import parse_element, parse_tensor_element
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from treelie import checks, cli, rigidity, tree_core
+from treelie import checks, cli, nap_coalgebra, rigidity, tree_core
 from treelie.tree_core import parse_tree
 
 
@@ -191,7 +191,7 @@ def test_size_limits_exit_2_before_any_work(capsys, monkeypatch, argv, message):
     monkeypatch.setattr(rigidity, "free_presentation", _must_not_start)
     monkeypatch.setattr(rigidity.PresentedAlgebra, "load", _must_not_start)
     monkeypatch.setattr(tree_core, "enumerate_trees", _must_not_start)
-    monkeypatch.setattr(cli, "delta_k", _must_not_start)
+    monkeypatch.setattr(nap_coalgebra, "delta_k", _must_not_start)
     monkeypatch.setattr(tree_core, "iter_labeled", _must_not_start)
     monkeypatch.setattr(tree_core, "iter_heap_ordered", _must_not_start)
     monkeypatch.setattr(checks, "run_suite", _must_not_start)
@@ -231,7 +231,7 @@ def test_sizes_inside_the_limits_are_accepted(capsys, monkeypatch):
     assert run_cli(capsys, "e", "a[b,c,d,e,f,g]")[:2] == (0, "1 * a[b,c,d,e,f,g]\n")
     # the coproduct limit binds only for k >= 2: a 9-vertex tree at any k,
     # and a larger one at k <= 1, reach the computation
-    monkeypatch.setattr(cli, "delta_k", lambda x, k: "delta %d of %s" % (k, x))
+    monkeypatch.setattr(nap_coalgebra, "delta_k", lambda x, k: "delta %d of %s" % (k, x))
     star = "r[a,b,c,d,e,f,g,h]"
     assert run_cli(capsys, "coproduct", star, "8")[:2] == (0, "delta 8 of 1 * %s\n" % star)
     big = "r[a,b,c,d,e,f,g,h,i]"
@@ -488,11 +488,11 @@ def test_every_refusal_is_one_stderr_line(capsys, monkeypatch, argv, change):
     exit code 0-4, never a traceback, and on exit 2 or 4 nothing on stdout and
     exactly one line on stderr."""
     trees, labeled, heap = tree_core.enumerate_trees, tree_core.iter_labeled, tree_core.iter_heap_ordered
-    delta_k, load = cli.delta_k, rigidity.PresentedAlgebra.load
+    delta_k, load = nap_coalgebra.delta_k, rigidity.PresentedAlgebra.load
     monkeypatch.setattr(tree_core, "enumerate_trees", lambda alphabet, d, *w: trees(alphabet, min(d, 3), *w))
     monkeypatch.setattr(tree_core, "iter_labeled", lambda n: labeled(min(n, 3)))
     monkeypatch.setattr(tree_core, "iter_heap_ordered", lambda n: heap(min(n, 3)))
-    monkeypatch.setattr(cli, "delta_k", lambda x, k: delta_k(x, min(k, 2)))
+    monkeypatch.setattr(nap_coalgebra, "delta_k", lambda x, k: delta_k(x, min(k, 2)))
     monkeypatch.setattr(rigidity, "idempotent_e", lambda x, alg: x)
     monkeypatch.setattr(rigidity, "free_presentation", lambda alphabet, n: _FREE_A3)
     monkeypatch.setattr(rigidity.PresentedAlgebra, "load", lambda path: _DOCUMENTS.get(path) or load(path))
@@ -505,6 +505,59 @@ def test_every_refusal_is_one_stderr_line(capsys, monkeypatch, argv, change):
     assert "Traceback" not in err
     if code in (2, 4):
         assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+
+
+# words the reader must leave to argparse (options, help, negative numbers,
+# "--") or read as argparse does (spaces, underscores, over-long integers)
+_INSERTED = [["-h"], ["--"], ["-o", "F"], ["--output=F"], ["-3"], [" 2"], ["1_0"], ["9" * 5000]]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    _argv.map(_flatten),
+    st.sampled_from(["keep", "drop", "extra"]),
+    st.lists(st.tuples(st.integers(0, 5), st.sampled_from(_INSERTED)), max_size=2),
+)
+@example(["present", "a", "3"], "keep", [(3, ["-o", "F"])])
+@example(["coproduct", "a[b]"], "keep", [(2, ["-3"])])
+@example(["check", "all"], "keep", [(2, [" 2"]), (3, ["1_0"])])
+def test_reader_sets_what_argparse_sets(argv, change, inserted):
+    """Whenever ``_read_argv`` reads an argv, argparse reads it too and sets
+    the same attributes to the same values."""
+    argv = argv[:-1] if change == "drop" else argv + ["extra"] if change == "extra" else argv
+    for position, words in inserted:
+        argv[position:position] = words
+    read = cli._read_argv(argv)
+    if read is not None:
+        assert vars(read) == vars(cli._build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv,read",
+    [
+        (["reconstruct", "/in/free-a6.json", "6"], True),
+        (["check", "fundamental", "6", "1234"], True),
+        (["check", "all", " 2"], True),
+        (["coproduct", "a[b]"], True),
+        (["enumerate", "trees", "a,b", "7"], True),
+        (["enumerate", "heap", "8", "9", "x"], True),
+        (["present", "a", "3"], True),
+        (["present", "a", "3", "-o", "F"], False),
+        (["-h"], False),
+        (["check", "-h"], False),
+        (["coproduct", "a", "-1"], False),
+        (["e", "--", "a"], False),
+        (["check", "all", "9" * 5000], False),
+        (["check", "some", "3"], False),
+        (["product", "prelie", "a"], False),
+        (["product", "prelie", "a", "b", "c"], False),
+        (["enumerate", "trees"], False),
+        (["unknown"], False),
+        ([], False),
+    ],
+)
+def test_reader_reads_plain_words_and_leaves_the_rest(argv, read):
+    assert (cli._read_argv(argv) is not None) == read
 
 
 def _env():
@@ -591,12 +644,45 @@ def test_profiler_still_prints_its_report():
     assert "function calls" in out and "Ordered by:" in out
 
 
+# loaded only to print help or a usage error
+_ARGPARSE = ("argparse", "gettext", "locale")
+
+
 def test_import_loads_neither_the_suites_nor_json():
     """``import treelie.cli`` in a fresh interpreter leaves the modules that
-    only some verbs use unloaded."""
+    only some verbs use, and argparse, unloaded."""
     probe = "import sys, treelie.cli; print([m for m in %r if m in sys.modules])"
-    code, out, err = _process(prefix=("-c", probe % (("json", "treelie.checks", "treelie.operads"),)))
+    unused = ("json", "treelie.checks", "treelie.operads", "treelie.freemod", "treelie.rigidity") + _ARGPARSE
+    code, out, err = _process(prefix=("-c", probe % (unused,)))
     assert (code, out, err) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv,modules",
+    [
+        (["enumerate", "trees", "a", "4"], ["treelie", "treelie.cli", "treelie.kernel", "treelie.tree_core"]),
+        (["enumerate", "labeled", "3"], ["treelie", "treelie.cli", "treelie.kernel", "treelie.tree_core"]),
+        (["check", "nap", "2", "1"], None),
+        (["reconstruct", "{file}", "3"], None),
+    ],
+    ids=["enumerate-trees", "enumerate-labeled", "check", "reconstruct"],
+)
+def test_well_formed_runs_load_no_argparse(tmp_path, argv, modules):
+    """A well-formed run in a fresh interpreter loads neither argparse nor
+    what it imports; ``enumerate`` loads no treelie module but ``tree_core``
+    and the kernel."""
+    path = tmp_path / "free_a3.json"
+    rigidity.free_presentation(["a"], 3).dump(str(path))
+    probe = (
+        "import sys, treelie.cli; code = treelie.cli.main(sys.argv[1:]); "
+        "print(code, [m for m in %r if m in sys.modules], sorted(m for m in sys.modules if 'treelie' in m))"
+    )
+    argv = [a.format(file=path) for a in argv]
+    code, out, _ = _process(*argv, prefix=("-c", probe % (_ARGPARSE,)))
+    last = out.splitlines()[-1]
+    assert code == 0 and last.startswith("0 [] ")
+    if modules is not None:
+        assert last == "0 [] %r" % modules
 
 
 def test_check_suite_names_are_the_suites():

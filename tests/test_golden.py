@@ -68,6 +68,33 @@ def test_golden_stdout(name, tmp_path):
     assert out.encode() == (GOLDEN / (name + ".txt")).read_bytes()
 
 
+# Help goes through argparse, which ``main`` imports only for help and usage
+# errors; its line breaks follow COLUMNS, which is fixed at 80.
+HELP_CASES = {
+    "help": ["-h"],
+    **{"help_" + verb: [verb, "-h"] for verb in
+       ("product", "coproduct", "e", "check", "reconstruct", "enumerate", "present")},
+}
+
+
+def run_help(name):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(HELP_CASES[name])
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(HELP_CASES))
+def test_help_stdout(name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out = run_help(name)
+    assert code == 0
+    assert out.encode() == (GOLDEN / (name + ".txt")).read_bytes()
+
+
 # Verbs whose stdout must not depend on PYTHONHASHSEED: trees hash by
 # identity and strings by a per-process seed, so any output that followed
 # the iteration order of a set or dict of trees would differ between these
@@ -114,3 +141,10 @@ if __name__ == "__main__":
                 sys.exit("%s exited %d" % (name, code))
             (GOLDEN / (name + ".txt")).write_bytes(out.encode())
             print("wrote", name)
+    os.environ["COLUMNS"] = "80"
+    for name in sorted(HELP_CASES):
+        code, out = run_help(name)
+        if code != 0:
+            sys.exit("%s exited %d" % (name, code))
+        (GOLDEN / (name + ".txt")).write_bytes(out.encode())
+        print("wrote", name)

@@ -75,6 +75,33 @@ def test_presented_product_and_coproduct_match_the_free_ones():
     }
 
 
+def _cached_free_presentation(alphabet, max_degree):
+    """``free_presentation`` built, as it once was, through the product
+    cache of ``FreeTreeAlgebra.product_basis``."""
+    alg = FreeTreeAlgebra(alphabet)
+    degrees = range(1, max_degree + 1)
+    generators = {d: [t.key for t in alg.basis(d)] for d in degrees}
+    product, coproduct = {}, {}
+    for d1 in degrees:
+        for s in alg.basis(d1):
+            cop = alg.coproduct_basis(s)
+            if not cop.is_zero():
+                coproduct[s.key] = {(u.key, v.key): c for (u, v), c in cop.items()}
+            for d2 in range(1, max_degree - d1 + 1):
+                for t in alg.basis(d2):
+                    product[(s.key, t.key)] = {g.key: c for g, c in alg.product_basis(s, t).items()}
+    return PresentedAlgebra(generators, product, coproduct)
+
+
+@pytest.mark.parametrize(
+    "alphabet,max_degree", [(["a"], d) for d in range(1, 9)] + [(["a", "b"], d) for d in range(1, 6)]
+)
+def test_free_presentation_reads_the_kernel_as_the_cache_did(alphabet, max_degree):
+    assert free_presentation(alphabet, max_degree).to_json() == (
+        _cached_free_presentation(alphabet, max_degree).to_json()
+    )
+
+
 # -- A_k / U_k ---------------------------------------------------------------
 
 
