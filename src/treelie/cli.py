@@ -53,9 +53,10 @@ MAX_COPRODUCT_DEGREE = 9
 MAX_TREES = 500_000
 # ``present ALPHABET N`` builds the product of every pair of trees of total
 # degree at most N: 255,875 pairs for ``a 15`` (about 54 s and 140 MB of
-# JSON), 198,016 for ``a,b 9``.  The pair count never falls as N grows, and
-# one letter has 688,112 pairs at degree 16, so it is taken at degree 16 at
-# most.
+# JSON), 198,016 for ``a,b 9``; ``present a 14`` takes about 10 s and peaks
+# at 226 MB (230 MB while each product was also cached).  The pair count
+# never falls as N grows, and one letter has 688,112 pairs at degree 16, so
+# it is taken at degree 16 at most.
 MAX_PRESENT_PAIRS = 300_000
 # ``reconstruct FILE N`` walks every degree up to N, and the file's size does
 # not bound N: 29 bytes, {"generators":{"4000":["x"]}}, name degree 4000.
@@ -63,8 +64,8 @@ MAX_PRESENT_PAIRS = 300_000
 MAX_RECONSTRUCT_DEGREE = 64
 # ``enumerate`` writes its lines in chunks of this many, one ``print`` each.
 ENUMERATE_CHUNK = 4096
-# The names of ``checks.SUITES``, sorted, so that building the parser does
-# not import the suites.
+# The names of ``checks.SUITES``, sorted, so that the grammar does not import
+# the suites.
 CHECK_SUITES = ("coalgebra", "dlaw", "fundamental", "nap", "operads", "prelie", "section4")
 
 
@@ -221,9 +222,10 @@ def cmd_present(args):
 
 # The grammar: for each verb, its handler, its help line, its positionals in
 # order as (dest, keywords of ``add_argument``) and its options as (flags,
-# keywords naming the ``dest``).  Only a verb's last positional may be optional ("?") or
-# repeated ("+").  ``_build_parser`` builds argparse's parser from it, and
-# ``_read_argv`` reads well-formed argv with it without importing argparse.
+# keywords naming the ``dest``).  Only a verb's last positional may be
+# optional ("?") or repeated ("+").  ``_build_parser`` builds argparse's
+# parser from it, and ``_read_argv`` reads well-formed argv with it without
+# importing argparse.
 VERBS = {
     "product": (cmd_product, "product of two trees", [
         ("kind", {"choices": ["prelie", "nap"]}),

@@ -44,6 +44,12 @@ CASES = {
     "product_prelie": (["product", "prelie", "a[b,c[d]]", "e[f]"], None),
     "product_nap": (["product", "nap", "a[b,c[d]]", "e[f]"], None),
     "enumerate_trees_ab_5": (["enumerate", "trees", "a,b", "5"], None),
+    # help goes through argparse, which main imports only for help and usage
+    # errors; its line breaks follow COLUMNS, which the test and the
+    # regeneration below set to 80
+    "help": (["-h"], None),
+    **{"help_" + verb: ([verb, "-h"], None)
+       for verb in ("product", "coproduct", "e", "check", "reconstruct", "enumerate", "present")},
 }
 
 
@@ -56,41 +62,18 @@ def run_case(name, tmpdir):
         argv = [a.replace("{file}", str(path)) for a in argv]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # help exits through argparse
+            code = exc.code
     return code, out.getvalue()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 @pytest.mark.usefixtures("shared_operad_walk")  # only check_operads_5_42 walks the axioms
-def test_golden_stdout(name, tmp_path):
-    code, out = run_case(name, tmp_path)
-    assert code == 0
-    assert out.encode() == (GOLDEN / (name + ".txt")).read_bytes()
-
-
-# Help goes through argparse, which ``main`` imports only for help and usage
-# errors; its line breaks follow COLUMNS, which is fixed at 80.
-HELP_CASES = {
-    "help": ["-h"],
-    **{"help_" + verb: [verb, "-h"] for verb in
-       ("product", "coproduct", "e", "check", "reconstruct", "enumerate", "present")},
-}
-
-
-def run_help(name):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = cli.main(HELP_CASES[name])
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue()
-
-
-@pytest.mark.parametrize("name", sorted(HELP_CASES))
-def test_help_stdout(name, monkeypatch):
+def test_golden_stdout(name, tmp_path, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    code, out = run_help(name)
+    code, out = run_case(name, tmp_path)
     assert code == 0
     assert out.encode() == (GOLDEN / (name + ".txt")).read_bytes()
 
@@ -134,6 +117,7 @@ if __name__ == "__main__":
     import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
+    os.environ["COLUMNS"] = "80"
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(CASES):
             code, out = run_case(name, tmp)
@@ -141,10 +125,3 @@ if __name__ == "__main__":
                 sys.exit("%s exited %d" % (name, code))
             (GOLDEN / (name + ".txt")).write_bytes(out.encode())
             print("wrote", name)
-    os.environ["COLUMNS"] = "80"
-    for name in sorted(HELP_CASES):
-        code, out = run_help(name)
-        if code != 0:
-            sys.exit("%s exited %d" % (name, code))
-        (GOLDEN / (name + ".txt")).write_bytes(out.encode())
-        print("wrote", name)
