@@ -6,7 +6,8 @@ Usage::
     python benchmarks/bench_e2e.py --label NAME --out BENCH_N.json [--repo DIR]
 
 Every job is a fresh ``python -m treelie.cli ...`` process with ``DIR/src``
-first on ``PYTHONPATH``; ``DIR`` defaults to the checkout this script lives
+as its ``PYTHONPATH`` and no other ``PYTHON*`` setting of the caller but
+``PYTHONHOME``; ``DIR`` defaults to the checkout this script lives
 in, so one copy of the script measures the source of any commit.  The job
 list runs ``REPEATS`` = 3 times, in passes of alternating direction (first
 to last, last to first, first to last), so drift within a run reaches every
@@ -117,8 +118,18 @@ def git(repo, *args):
     return out.stdout.strip() if out.returncode == 0 else None
 
 
+def job_env(repo):
+    """The caller's environment without its ``PYTHON*`` settings (but
+    ``PYTHONHOME``), with ``repo/src`` as the whole ``PYTHONPATH``: a shell's
+    ``PYTHONDONTWRITEBYTECODE`` or ``PYTHONUNBUFFERED`` would otherwise make
+    every job compile treelie or write its output unbuffered."""
+    env = {k: v for k, v in os.environ.items() if not (k.startswith("PYTHON") and k != "PYTHONHOME")}
+    env["PYTHONPATH"] = os.path.join(repo, "src")
+    return env
+
+
 def bench(repo, workdir):
-    env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
+    env = job_env(repo)
     cli = [sys.executable, "-m", "treelie.cli"]
     argvs = []
     for name, args, present in JOBS:

@@ -285,6 +285,15 @@ def _read_argv(argv):
     return types.SimpleNamespace(**args)
 
 
+def _parse_args(argv):
+    """Argparse's reading of an argv that ``_read_argv`` leaves.  An argv that
+    holds ``--`` twice is refused first: Python 3.11's argparse reads the
+    second ``--`` as an empty list for a positional, or drops it."""
+    if argv.count("--") > 1:
+        raise Refused("treelie: error: '--' may appear only once")
+    return _build_parser().parse_args(argv)
+
+
 def _build_parser():
     """Argparse's parser for the grammar in ``VERBS``: it prints help and
     reads what ``_read_argv`` leaves.  Its usage errors are one-line
@@ -315,7 +324,7 @@ def _build_parser():
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _read_argv(argv) or _build_parser().parse_args(argv)
+        args = _read_argv(argv) or _parse_args(argv)
         code = args.run(args) or EXIT_OK
         sys.stdout.flush()  # a closed stdout is met here, not at interpreter exit
         return code

@@ -6,14 +6,20 @@ tree's root, and all incoming edges are grafted onto that root.  The pre-Lie
 one sums instead over every way of distributing the vertex's child subtrees
 across the incoming tree, so the permutative composition is one of its
 summands.  Relabeling is by block substitution: the incoming tree occupies
-ids i..i+m-1 and larger ids shift up.  Each composition is one kernel on
-parent tuples returning ``{parent tuple: coeff}`` (``nap_parents``,
-``pl_parents``), which ``nap_compose``/``pl_compose`` wrap for ``LabeledTree``
-and ``Element``; the axiom walk runs on the kernels alone.  The relabelings
-depend only on the shape of a composition (the two arities, the slot and
-the position of the incoming root), so ``_substitute`` builds them once per
-shape into a module table of tuples and applies them with ``map``; only the
-pre-Lie kernel and the negative control look up the moved children.
+ids i..i+m-1 and larger ids shift up.
+
+One composer, ``_compose_into``, extends a composition bilinearly to
+combinations of parent tuples (``{parent tuple: coeff}`` dicts).  A rule
+says where the children of vertex i go: the incoming root (permutative), any
+incoming vertex (pre-Lie) or the incoming tree's last vertex (the negative
+control).  The kernels ``nap_parents``, ``pl_parents`` and
+``corrupted_parents`` are the composer on two trees and carry their rule;
+``nap_compose``/``pl_compose`` wrap them for ``LabeledTree`` and ``Element``.
+The relabeling depends only on the shape of a composition (the two arities,
+the slot and where i's children go), so a module table gives every id of a
+shape its choices after composing: a composition maps its parent tuples
+through it and multiplies the choices out, or is one tuple if i's children
+have a single target.
 
 The checkers verify unit, associativity and symmetric-group equivariance
 exhaustively in low arity, the presentation of the permutative operad
@@ -21,12 +27,13 @@ exhaustively in low arity, the presentation of the permutative operad
 operations matches evaluating the corresponding products on generators.
 Each checker returns one outcome per case, ``None`` for a pass or else the
 witness, for the check driver of ``treelie.checks``.  In the axiom walk one
-side of every composition is a single tree, so the kernel is extended over
-the other side only, and the block permutations of the equivariance cases
-and their inverse tables are computed once per pair of arities.
+side of every composition is a single tree and the other a combination, one
+composer call each; the block permutations of the equivariance cases and
+their inverse tables are computed once per pair of arities.
 """
 
 import itertools
+from collections import _count_elements
 
 from treelie import tree_core
 from treelie.freemod import Element, accumulate, bilinear
@@ -37,84 +44,87 @@ unit = LabeledTree((0,))
 mu = LabeledTree((0, 1))
 
 
-_SHAPES = {}  # (len(p), i, len(q), root position in q) -> the relabelings of _substitute
+_SHAPES = {}  # (len(p), i, len(q), where i's children go) -> the choices of _compose_into
 
 
-def _shape(n, i, m, r):
-    """The relabelings of ``_substitute`` for one shape: host id x (0..n) to
-    its id after composing, vertex i itself going to the incoming root i + r,
-    and incoming id x (1..m) to i + x - 1; slot 0 of the incoming table is a
-    placeholder for the incoming root's parent, which each call fills in."""
-    shift, top = m - 1, i + r
-    host = tuple(x if x < i else top if x == i else x + shift for x in range(n + 1))
-    return host, (0,) + tuple(range(i, i + m))
-
-
-def _substitute(p, i, q):
-    """``q`` substituted for vertex i of ``p`` with i's children on the root
-    of ``q``, as a parent list.  Host ids above i shift up by ``len(q) - 1``;
-    incoming id j becomes i+j-1."""
-    n = len(p)
+def _shape(n, i, m, where):
+    """The choices of one shape: two tables that take host id x (0..n) and
+    incoming id x (1..m) to their ids after composing; incoming id 0, a
+    placeholder, is overwritten by the incoming root's parent.  Ids below i
+    stay, larger ids shift up by m - 1, incoming id x becomes i + x - 1, and
+    vertex i's children go to incoming vertex ``where`` (0-based) or, if it
+    is None, to any of them.  With one target every choice is a bare id;
+    with several, each is a tuple of ids, to be multiplied out; the flag
+    says which."""
     if not 1 <= i <= n:
         raise ValueError("vertex %d out of range 1..%d" % (i, n))
-    r = q.index(0)
-    key = (n, i, len(q), r)
-    shape = _SHAPES.get(key)
-    if shape is None:
-        shape = _SHAPES[key] = _shape(n, i, len(q), r)
-    host, incoming = shape
-    base = list(map(host.__getitem__, p))
-    block = list(map(incoming.__getitem__, q))
-    block[r] = base[i - 1]  # the incoming root takes vertex i's parent
-    base[i - 1 : i] = block
-    return base
+    targets = tuple(range(i, i + m)) if where is None else (i + where,)
+    several = len(targets) > 1
+    if several:
+        one = lambda x: (x,)
+    else:
+        (targets,), one = targets, int
+    host = tuple(one(x) if x < i else targets if x == i else one(x + m - 1) for x in range(n + 1))
+    return host, tuple(one(x + i - 1) for x in range(m + 1)), several
 
 
-def _moved(p, i, m):
-    """Positions in the composed parent list of the children of vertex i of
-    ``p``, which move onto the ``m`` vertices of the incoming tree."""
-    return [c if c < i - 1 else c + m - 1 for c, x in enumerate(p) if x == i]
+def _compose_into(acc, x, i, y, rule):
+    """Add ``a * b * (p o_i q)`` into ``acc`` for every term ``(p, a)`` of
+    ``x`` and ``(q, b)`` of ``y``, dropping keys whose sum becomes zero;
+    returns ``acc``.  ``q`` replaces vertex i of ``p``: its root takes i's
+    parent, and ``rule(len(q), root position in q)`` says where i's children
+    go: to that vertex of ``q`` (0-based), or if it is None to any vertex of
+    ``q``, one term per map of the children to the vertices."""
+    clean = not acc  # no sum can become zero while every coefficient added is 1
+    for q, b in y.items():
+        r, m = q.index(0), len(q)
+        where, at = rule(m, r), i - 1 + r
+        for p, a in x.items():
+            key = (len(p), i, m, where)
+            shape = _SHAPES.get(key)
+            if shape is None:
+                shape = _SHAPES[key] = _shape(*key)
+            host, incoming, several = shape
+            choices = list(map(host.__getitem__, p))
+            top = choices[i - 1]  # vertex i's parent, which the incoming root takes
+            choices[i - 1 : i] = map(incoming.__getitem__, q)
+            choices[at] = top
+            terms = itertools.product(*choices) if several else (tuple(choices),)
+            c = a * b
+            if c == 1:
+                _count_elements(acc, terms)  # acc[t] += 1 for each term, in C
+            else:
+                clean, get = False, acc.get
+                for t in terms:
+                    acc[t] = get(t, 0) + c
+    if not clean and 0 in acc.values():
+        for t in [t for t, v in acc.items() if not v]:
+            del acc[t]
+    return acc
 
 
-def nap_parents(p, i, q):
-    """Permutative composition of parent tuples, ``{p o_i q: 1}``."""
-    return {tuple(_substitute(p, i, q)): 1}
+def _kernel(name, rule, doc):
+    """A composition of two parent tuples, ``{parent tuple: 1}`` over its
+    terms, that carries its ``rule`` for ``_compose_into``."""
+
+    def parents(p, i, q):
+        return _compose_into({}, {p: 1}, i, {q: 1}, rule)
+
+    parents.__name__ = parents.__qualname__ = name
+    parents.__doc__, parents.rule = doc, rule
+    return parents
 
 
-def pl_parents(p, i, q):
-    """Pre-Lie composition of parent tuples: the sum over all maps from the
-    children of vertex i to the vertices of ``q``, coefficients all 1.  The
-    all-to-the-root map gives the permutative summand."""
-    base = _substitute(p, i, q)
-    children = p.count(i)
-    if not children:
-        return {tuple(base): 1}
-    out = {}
-    targets = range(i, i + len(q))
-    if children == 1:
-        pos = p.index(i)
-        if pos >= i:
-            pos += len(q) - 1
-        for target in targets:
-            base[pos] = target
-            out[tuple(base)] = 1
-        return out
-    moved = _moved(p, i, len(q))
-    # distinct target maps give distinct parent arrays, so no term repeats
-    for choice in itertools.product(targets, repeat=len(moved)):
-        for pos, target in zip(moved, choice):
-            base[pos] = target
-        out[tuple(base)] = 1
-    return out
-
-
-def corrupted_parents(p, i, q):
-    """Deliberately wrong composition (incoming edges attach to the incoming
-    tree's last vertex, not its root); negative control for the checker."""
-    base = _substitute(p, i, q)
-    for pos in _moved(p, i, len(q)):
-        base[pos] = i + len(q) - 1
-    return {tuple(base): 1}
+# a rule takes the size m of the incoming tree and the position r of its root to
+# the position (0-based) that receives the children of vertex i, or None for any
+nap_parents = _kernel("nap_parents", lambda m, r: r, """Permutative composition of parent tuples,
+    ``{p o_i q: 1}``: the children of vertex i go to the root of ``q``.""")
+pl_parents = _kernel("pl_parents", lambda m, r: None, """Pre-Lie composition of parent tuples: the
+    sum over all maps from the children of vertex i to the vertices of ``q``, coefficients all 1.
+    The all-to-the-root map gives the permutative summand.""")
+corrupted_parents = _kernel("corrupted_parents", lambda m, r: m - 1, """Deliberately wrong composition
+    (incoming edges attach to the incoming tree's last vertex, not its root); negative control
+    for the checker.""")
 
 
 def nap_compose(t, i, s):
@@ -172,38 +182,25 @@ def check_operad_axioms(parents, max_arity):
     Combinations are ``{parent tuple: coeff}`` dicts; a ``LabeledTree`` is
     built only to render a witness.  Every ``t o_i s`` of two trees is
     computed once into one table; the cases compose or compare its values.
-    One side of every other composition is a single tree, so the kernel is
-    extended over the other side only (``over_left``/``over_right``)."""
+    One side of every other composition is a single tree, and each is one
+    composer call on the kernel's rule over the combination on the other
+    side (``over_left``/``over_right``)."""
     trees = {n: [t.parent for t in tree_core.enumerate_labeled(n)] for n in range(1, max_arity + 1)}
     perms = {n: list(itertools.permutations(range(1, n + 1))) for n in trees}
     acted = {(sigma, t): act_parent(sigma, t) for n in trees for sigma in perms[n] for t in trees[n]}
     every = [t for ts in trees.values() for t in ts]
     o = {(t, i, s): parents(t, i, s)
          for t, s in itertools.product(every, repeat=2) for i in range(1, len(t) + 1)}
-    tree = LabeledTree._trusted
+    tree, rule = LabeledTree._trusted, parents.rule
     out = []
 
     def over_left(x, i, q):
-        # x o_i q for a combination x; a single tree with coefficient 1 is the kernel's own dict
-        if len(x) == 1:
-            ((p, c),) = x.items()
-            if c == 1:
-                return parents(p, i, q)
-        acc = {}
-        for p, c in x.items():
-            accumulate(acc, parents(p, i, q).items(), c)
-        return acc
+        # x o_i q for a combination x
+        return _compose_into({}, x, i, {q: 1}, rule)
 
     def over_right(p, i, y):
         # p o_i y for a combination y
-        if len(y) == 1:
-            ((q, c),) = y.items()
-            if c == 1:
-                return parents(p, i, q)
-        acc = {}
-        for q, c in y.items():
-            accumulate(acc, parents(p, i, q).items(), c)
-        return acc
+        return _compose_into({}, {p: 1}, i, y, rule)
 
     for t in every:
         for i in range(1, len(t) + 1):
@@ -237,6 +234,7 @@ def check_operad_axioms(parents, max_arity):
                     same = o[acted[sigma, t], i, acted[tau, s]] == rhs
                     witness = "equivariance: sigma=%s tau=%s i=%d t=%s s=%s"
                     out.append(None if same else witness % (sigma, tau, i, tree(t), tree(s)))
+    _SHAPES.clear()  # kept, the walk's shapes (144 at arity 3) hold memory that later checks reuse
     return out
 
 
@@ -275,7 +273,7 @@ def decomposition_check(t):
         b, rank_b = subtree_standardized(t, rest)
         i, shift = rank_a[r], b.n - 1
         composed = nap_compose(a, i, b)
-        # the block relabeling of ``_substitute``
+        # the block relabeling of ``_compose_into``
         g = [0] * t.n
         for v in first_set:
             g[v - 1] = rank_a[v] + (shift if rank_a[v] > i else 0)

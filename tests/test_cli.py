@@ -447,9 +447,9 @@ _BAD_A3 = _FREE_A3.to_json()
 _BAD_A3["coproduct"]["a[a]"] = [["2", "a", "a"]]
 _DOCUMENTS = {"free.json": _FREE_A3, "bad.json": rigidity.PresentedAlgebra.from_json(_BAD_A3)}
 _NUMBERS = ["0", "1", "-1", "2", "3", "7", "8", "9", "10", "11", "15", "16", "17", "64", "65"]
-_NUMBERS += ["1000000000", str(10**30), "x", "1.5", "", " 2", "1_0", "9" * 5000]
+_NUMBERS += ["1000000000", str(10**30), "x", "1.5", "", " 2", "1_0", "9" * 5000, "--"]
 _TREES = ["a", "a[b]", "a[b,c[d]]", "r[a,b,c,d,e,f]", "r[a,b,c,d,e,f,g]", "r[a,b,c,d,e,f,g,h,i]"]
-_TREES += [_chain(257), "a[", "]", "", "a[b", "a[]", "-", "a b", "a[b,,c]", "a\nb"]
+_TREES += [_chain(257), "a[", "]", "", "a[b", "a[]", "-", "a b", "a[b,,c]", "a\nb", "--"]
 _ALPHABETS = ["a", "a,b", "a,a", "a,b,c", "a,b,c,d,e,f", "", "a,-", ",", "a,b\nc"]
 _numbers, _trees, _alphabets = st.sampled_from(_NUMBERS), st.sampled_from(_TREES), st.sampled_from(_ALPHABETS)
 _optional = st.lists(_numbers, max_size=1)
@@ -483,6 +483,8 @@ def _flatten(parts):
 @example(["present", "a", "40"], "keep")
 @example(["reconstruct", "missing", "3"], "keep")
 @example(["reconstruct", "bad.json", "3"], "keep")
+@example(["check", "nap", "--", "--"], "keep")
+@example(["coproduct", "a", "--", "--"], "keep")
 def test_every_refusal_is_one_stderr_line(capsys, monkeypatch, argv, change):
     """Generated argv for every verb, the heavy work cut to its smallest size:
     exit code 0-4, never a traceback, and on exit 2 or 4 nothing on stdout and
@@ -507,9 +509,24 @@ def test_every_refusal_is_one_stderr_line(capsys, monkeypatch, argv, change):
         assert out == "" and err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "nap", "--", "--"],
+        ["present", "a", "--", "--"],
+        ["coproduct", "a", "--", "--"],
+        ["reconstruct", "--", "--", "3"],
+        ["enumerate", "trees", "--", "a", "--"],
+    ],
+)
+def test_a_second_double_dash_is_refused(capsys, argv):
+    # argparse would read the second "--" as an empty value, or drop it
+    assert run_cli(capsys, *argv) == (2, "", "treelie: error: '--' may appear only once\n")
+
+
 # words the reader must leave to argparse (options, help, negative numbers,
 # "--") or read as argparse does (spaces, underscores, over-long integers)
-_INSERTED = [["-h"], ["--"], ["-o", "F"], ["--output=F"], ["-3"], [" 2"], ["1_0"], ["9" * 5000]]
+_INSERTED = [["-h"], ["--"], ["--", "--"], ["-o", "F"], ["--output=F"], ["-3"], [" 2"], ["1_0"], ["9" * 5000]]
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_tree_core import labeled_trees
 from treelie import checks, operads as O
-from treelie.freemod import Element
+from treelie.freemod import Element, accumulate
 from treelie.prelie import nap_product, prelie_product
 from treelie.tree_core import LabeledTree, act, enumerate_labeled, parse_tree
 
@@ -134,6 +134,46 @@ def test_kernels_agree_in_any_call_order(monkeypatch, seed):
     for fast, slow, p, i, q in cases:
         assert list(fast(p, i, q).items()) == list(slow(p, i, q).items())
     assert O._SHAPES  # the kernels did go through the table
+
+
+UP_TO_4_BY_ARITY = {n: [t.parent for t in enumerate_labeled(n)] for n in range(1, 5)}
+
+
+def _combinations(n):
+    """Combinations of 1-4 labeled trees of arity n, coefficients in -3..3."""
+    return st.dictionaries(st.sampled_from(UP_TO_4_BY_ARITY[n]), st.integers(-3, 3).filter(bool), min_size=1, max_size=4)
+
+
+def _oracle_into(acc, x, i, y, slow):
+    for p, a in x.items():
+        for q, b in y.items():
+            accumulate(acc, slow(p, i, q).items(), a * b)
+    return acc
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_composer_on_combinations_matches_oracle(n, m, data):
+    x, y, i = data.draw(_combinations(n)), data.draw(_combinations(m)), data.draw(st.integers(1, n))
+    for fast, slow in PARENT_KERNELS:
+        expected = _oracle_into({}, x, i, y, slow)
+        assert O._compose_into({}, x, i, y, fast.rule) == expected
+        # an accumulator holding the opposite of some terms, which cancel, and a key of no tree
+        cancelled = data.draw(st.lists(st.sampled_from(sorted(expected)), max_size=3)) if expected else []
+        acc = {t: -expected[t] for t in cancelled}
+        acc[()] = data.draw(st.integers(-3, 3).filter(bool))
+        got = O._compose_into(dict(acc), x, i, y, fast.rule)
+        assert got == _oracle_into(acc, x, i, y, slow)
+        assert 0 not in got.values() and not set(cancelled) & set(got)
+
+
+def test_composer_drops_what_coefficient_1_cancels():
+    # every composition adds coefficient 1 to an accumulator that holds -1 for each of its terms
+    for fast, slow in PARENT_KERNELS:
+        for p, q in itertools.product(UP_TO_4, repeat=2):
+            for i in range(1, len(p) + 1):
+                acc = {t: -1 for t in slow(p, i, q)}
+                assert O._compose_into(acc, {p: 1}, i, {q: 1}, fast.rule) == {}
 
 
 def test_pl_compose_mu_mu():
