@@ -5,8 +5,7 @@ on parent tuples (closures for the block relabeling, one vertex at a time),
 here with every tree built by the validating constructor; the kernels on
 parent tuples as first written, on a ``_substitute`` that rebuilds its
 relabelings on every call and returns the moved children with the parent
-list, ``pl_parents`` with one generic loop over all target maps, before its
-direct paths for no and for one moved child;
+list, and ``pl_parents`` with one loop over all target maps;
 ``act_element``, and the operad axiom walk as it was written before
 ``check_operad_axioms`` returned its outcomes and composed each ``t o_i s``
 once: a seven-deep loop nest that recomputes every composition where it is

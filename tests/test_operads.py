@@ -75,7 +75,7 @@ def test_pl_parents_matches_generic_oracle():
     for p, q in itertools.product(every, repeat=2):
         for i in range(1, len(p) + 1):
             moved[min(_assert_pl_parents_matches_oracle(p, i, q), 2)] += 1
-    # every direct path and the generic loop are exercised
+    # compositions with no, one and several moved children are all exercised
     assert set(moved) == {0, 1, 2} and min(moved.values()) > 10
 
 
@@ -141,7 +141,8 @@ UP_TO_4_BY_ARITY = {n: [t.parent for t in enumerate_labeled(n)] for n in range(1
 
 def _combinations(n):
     """Combinations of 1-4 labeled trees of arity n, coefficients in -3..3."""
-    return st.dictionaries(st.sampled_from(UP_TO_4_BY_ARITY[n]), st.integers(-3, 3).filter(bool), min_size=1, max_size=4)
+    coefficients = st.integers(-3, 3).filter(bool)
+    return st.dictionaries(st.sampled_from(UP_TO_4_BY_ARITY[n]), coefficients, min_size=1, max_size=4)
 
 
 def _oracle_into(acc, x, i, y, slow):
