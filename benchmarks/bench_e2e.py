@@ -60,6 +60,11 @@ JOBS = [("product prelie a b", ["product", "prelie", "a", "b"], None)]
 JOBS += [("check %s 5 42" % suite, ["check", suite, "5", "42"], None) for suite in ("operads", "all")]
 # the two suites whose size the check limit, 8, bounds: e's A_k cache and the cofreeness walk
 JOBS += [("check %s 8 42" % suite, ["check", suite, "8", "42"], None) for suite in ("fundamental", "coalgebra")]
+# the suites that read the most coproduct iterates, above the benchmark's sizes (dlaw 6, section4 7)
+JOBS += [
+    ("check %s %d 42" % (suite, n), ["check", suite, str(n), "42"], None)
+    for suite, n in (("dlaw", 7), ("section4", 8))
+]
 JOBS += [("enumerate labeled %d" % n, ["enumerate", "labeled", str(n)], None) for n in (7, 8)]
 JOBS += [
     ("reconstruct present %s %d" % (alphabet, n), ["reconstruct", "{input}", str(n)], (alphabet, n))

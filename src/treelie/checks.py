@@ -10,8 +10,10 @@ distributive relations are the predicates of ``treelie.rigidity`` that
 ``validate`` also calls, here on the free tree algebra.
 """
 
+import functools
 import itertools
 import math
+import operator
 import random
 
 from treelie import operads, tree_core
@@ -27,13 +29,13 @@ from treelie.freemod import (
 from treelie.nap_coalgebra import (
     coproduct,
     coproduct_basis,
-    delta_k,
     insert_y,
     is_primitive,
+    iterates,
     kronecker_pairing,
     tensor_pairing,
 )
-from treelie.prelie import bracket, module_action, nap_product, prelie_product
+from treelie.prelie import bracket, module_action, nap_product
 from treelie.rigidity import (
     FreeTreeAlgebra,
     PresentedAlgebra,
@@ -110,6 +112,17 @@ def _basis_upto(alphabet, max_degree):
     for d in range(1, max_degree + 1):
         out.extend(tree_core.enumerate_trees(alphabet, d))
     return out
+
+
+def _by_first(tuples):
+    """``(head, group)`` for each run of tuples with the same first key:
+    ``degree_tuples`` is ordered by its first slot, so each key heads one run."""
+    return itertools.groupby(tuples, key=operator.itemgetter(0))
+
+
+def _iterates_upto(x, k_max):
+    """[Delta^0(x), ..., Delta^k_max(x)], each one expansion of the one before."""
+    return list(itertools.islice(iterates(x), k_max + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +212,13 @@ def suite_prelie(max_degree, seed):
 
 def check_nap_relation(alphabet, total):
     def cases():
-        for x, y, z in degree_tuples(_free(alphabet), 3, total):
-            lhs = nap_product(nap_product(Element.of(x), Element.of(y)), Element.of(z))
-            rhs = nap_product(nap_product(Element.of(x), Element.of(z)), Element.of(y))
-            yield None if lhs == rhs else "at (%s, %s, %s)" % (x, y, z)
+        for x, triples in _by_first(degree_tuples(_free(alphabet), 3, total)):
+            ex = Element.of(x)
+            x_times = functools.cache(lambda w: nap_product(ex, Element.of(w)))
+            for _, y, z in triples:
+                lhs = nap_product(x_times(y), Element.of(z))
+                rhs = nap_product(x_times(z), Element.of(y))
+                yield None if lhs == rhs else "at (%s, %s, %s)" % (x, y, z)
 
     name = "permutative relation (xy)z = (xz)y over %s, total degree <= %d" % (list(alphabet), total)
     return _run(name, cases())
@@ -230,8 +246,9 @@ def check_nap_coalgebra_relation(alphabet, max_degree):
 def check_deltak_invariance(alphabet, max_degree, k_max):
     def cases():
         for t in _basis_upto(alphabet, max_degree):
-            for k in range(1, min(k_max, t.degree - 1) + 1):
-                dk = delta_k(Element.of(t), k)
+            dt = _iterates_upto(Element.of(t), min(k_max, t.degree - 1))
+            for k in range(1, len(dt)):
+                dk = dt[k]
                 if not dk.is_zero():
                     yield None if is_invariant_1k(dk) else "Delta^%d(%s)" % (k, t)
 
@@ -245,11 +262,14 @@ def check_deltak_bracketings(alphabet, max_degree, k_max):
 
     def cases():
         for t in _basis_upto(alphabet, max_degree):
+            et = Element.of(t)
+            dt = _iterates_upto(et, k_max + 1)
+            split = coproduct(et)
+            legs = functools.cache(lambda u: _iterates_upto(Element.of(u), k_max))
             for k in range(1, k_max + 1):
-                left = delta_k(Element.of(t), k + 1)
                 # (Delta^k (x) Id) Delta: Delta^k spliced into the left slot
-                right = expand_slot(coproduct(Element.of(t)), 0, lambda u: delta_k(Element.of(u), k), k + 2)
-                yield None if left == right else "Delta^%d at %s" % (k + 1, t)
+                right = expand_slot(split, 0, lambda u: legs(u)[k], k + 2)
+                yield None if dt[k + 1] == right else "Delta^%d at %s" % (k + 1, t)
 
     return _run("the two coproduct recursions agree (degree <= %d, k <= %d)" % (max_degree, k_max), cases())
 
@@ -378,14 +398,17 @@ def check_distributive_law(alphabet, total):
 
 
 def check_iterated_distributive_law(alphabet, total, k_max):
+    alg = _free(alphabet)
+
     def cases():
-        for x, y in degree_tuples(_free(alphabet), 2, total):
-            ex = Element.of(x)
-            ey = Element.of(y)
-            for k in range(1, k_max + 1):
-                lhs = delta_k(prelie_product(ex, ey), k)
-                rhs = module_action(delta_k(ex, k), ey) + insert_y(ey, delta_k(ex, k - 1))
-                yield None if lhs == rhs else "k=%d at (%s, %s)" % (k, x, y)
+        for x, pairs in _by_first(degree_tuples(alg, 2, total)):
+            dx = _iterates_upto(Element.of(x), k_max)
+            for _, y in pairs:
+                ey = Element.of(y)
+                dxy = _iterates_upto(alg.product_basis(x, y), k_max)
+                for k in range(1, k_max + 1):
+                    rhs = module_action(dx[k], ey, product=alg.product) + insert_y(ey, dx[k - 1])
+                    yield None if dxy[k] == rhs else "k=%d at (%s, %s)" % (k, x, y)
 
     name = "iterated law D^k(x o y) = D^k(x) o y + insert_y(D^{k-1}(x)), total degree <= %d, k <= %d"
     return _run(name % (total, k_max), cases())
@@ -420,7 +443,7 @@ def check_projector(alphabet, max_degree):
 def check_annihilation(alphabet, total):
     alg = _free(alphabet)
     cases = (
-        None if idempotent_e(prelie_product(Element.of(x), Element.of(y)), alg).is_zero()
+        None if idempotent_e(alg.product_basis(x, y), alg).is_zero()
         else "e(%s o %s) != 0" % (x, y)
         for x, y in degree_tuples(alg, 2, total)
     )
@@ -477,18 +500,18 @@ def check_delta_ak(max_degree, k_max):
 
     def cases():
         for t in _basis_upto(ONE_LETTER, max_degree):
+            # step k reads Delta^k(t) and Delta^{k+1}(t), the next step's Delta^k
+            dt = _iterates_upto(Element.of(t), k_max + 1)
+            u = functools.cache(lambda k: uk_apply(dt[k], alg))
+            invariant = functools.cache(lambda k: dt[k].is_zero() or is_invariant_1k(dt[k]))
             for k in range(1, k_max + 1):
-                x = delta_k(Element.of(t), k)
+                x = dt[k]
                 if x.is_zero():
-                    continue
-                expanded = expand_slot(x, 0, coproduct_basis, k + 2)
-                if not is_invariant_1k(x) or (
-                    not expanded.is_zero() and not is_invariant_1k(expanded)
-                ):
+                    break  # so are all later iterates
+                if not (invariant(k) and invariant(k + 1)):
                     yield "domain membership fails for Delta^%d(%s)" % (k, t)
                 lhs = alg.coproduct(ak_apply(k + 1, x, alg))
-                rhs = k * uk_apply(x, alg) + uk_apply(expanded, alg)
-                yield None if lhs == rhs else "k=%d at %s" % (k, t)
+                yield None if lhs == k * u(k) + u(k + 1) else "k=%d at %s" % (k, t)
 
     name = "coproduct of A_{k+1} splits through the U operators (degree <= %d, k <= %d)"
     return _run(name % (max_degree, k_max), cases())
@@ -499,13 +522,15 @@ def check_derivation_ak(max_degree, k_max):
     alg = _free(ONE_LETTER)
 
     def cases():
-        for t, y in degree_tuples(alg, 2, max_degree):
-            for k in range(0, k_max + 1):
-                x = delta_k(Element.of(t), k)
-                if not x.is_zero():
-                    lhs = (k + 1) * ak_apply(k + 1, module_action(x, Element.of(y)), alg)
-                    rhs = ak_apply(k + 2, insert_y(Element.of(y), x), alg)
-                    yield None if lhs == rhs else "k=%d T=%s y=%s" % (k, t, y)
+        for t, pairs in _by_first(degree_tuples(alg, 2, max_degree)):
+            dt = _iterates_upto(Element.of(t), k_max)
+            for _, y in pairs:
+                ey = Element.of(y)
+                for k, x in enumerate(dt):
+                    if not x.is_zero():
+                        lhs = (k + 1) * ak_apply(k + 1, module_action(x, ey, product=alg.product), alg)
+                        rhs = ak_apply(k + 2, insert_y(ey, x), alg)
+                        yield None if lhs == rhs else "k=%d T=%s y=%s" % (k, t, y)
 
     name = "action/insertion exchange for A_k (total degree <= %d, k <= %d)" % (max_degree, k_max)
     return _run(name, cases())
@@ -539,8 +564,8 @@ def check_petit_dernier(max_total, k_max):
                         right = ak_apply(
                             k + 2 - l, TensorElement.of((y,) + tup[l:]), alg
                         )
-                        accumulate(lhs, prelie_product(left, right).items(), c * math.comb(k, l - 1))
-                rhs = ak_apply(k + 1, module_action(x, ey), alg)
+                        accumulate(lhs, alg.product(left, right).items(), c * math.comb(k, l - 1))
+                rhs = ak_apply(k + 1, module_action(x, ey, product=alg.product), alg)
                 ok = Element._trusted(lhs) == rhs
                 yield None if ok else "k=%d keys=%s y=%s" % (k, [str(t) for t in keys], y)
 

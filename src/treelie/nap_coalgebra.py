@@ -20,20 +20,32 @@ def coproduct(x):
     return TensorElement._trusted(2, linear(kernel.coproduct_counts, x))
 
 
-def delta_k(x, k):
-    """k-th iterated coproduct of an Element, a tensor of rank k+1.
+def iterates(x, coproduct_basis=coproduct_basis):
+    """Yield Delta^0(x), Delta^1(x), ... without end, each a single first-slot
+    expansion of the one before: Delta^{k+1} = (Delta (x) Id^k) Delta^k.
 
-    Delta^0 is the identity (rank-1 tensor); higher iterates apply the
-    coproduct to the first slot: Delta^{k+1} = (Delta (x) Id^k) Delta^k.
+    Delta^k has rank k+1, also once it is zero.  ``coproduct_basis`` maps a
+    basis key to its coproduct; the default is the tree coproduct.
     """
+    out = TensorElement._trusted(1, {(t,): c for t, c in x.items()})
+    rank = 1
+    while True:
+        yield out
+        rank += 1
+        out = expand_slot(out, 0, coproduct_basis, rank)
+
+
+def delta_k(x, k):
+    """k-th iterated coproduct of an Element, a tensor of rank k+1: item k
+    of ``iterates(x)``.  Delta^0 is the identity (rank-1 tensor).  The
+    stream is left at its first zero item, so a large k costs nothing more."""
     if k < 0:
         raise ValueError("k must be >= 0, got %d" % k)
-    out = TensorElement(1, {(t,): c for t, c in x.items()})
-    for step in range(k):
-        out = expand_slot(out, 0, coproduct_basis, step + 2)
+    for j, out in enumerate(iterates(x)):
+        if j == k:
+            return out
         if out.is_zero():
-            return TensorElement(k + 1, {})
-    return out
+            return TensorElement._trusted(k + 1, {})
 
 
 def insert_y(y, t):

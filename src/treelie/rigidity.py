@@ -41,7 +41,7 @@ from treelie.freemod import (
     swap_slots,
     tensor,
 )
-from treelie.nap_coalgebra import coproduct_basis as _tree_coproduct_basis
+from treelie.nap_coalgebra import coproduct_basis as _tree_coproduct_basis, iterates
 from treelie.prelie import module_action, prelie_product
 
 
@@ -570,11 +570,9 @@ def mu_of_tensor(w, alg):
 
 def _delta_iterates(t, alg):
     """Yield (k, Delta^k(t)) for k = 1, 2, ... until the iterate vanishes."""
-    cur = TensorElement(1, {(t,): 1})
-    k = 0
-    while True:
-        k += 1
-        cur = expand_slot(cur, 0, alg.coproduct_basis, k + 1)
+    stream = iterates(Element._trusted({t: 1}), alg.coproduct_basis)
+    next(stream)  # Delta^0
+    for k, cur in enumerate(stream, 1):
         if cur.is_zero():
             return
         if k > t.degree:

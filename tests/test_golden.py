@@ -36,6 +36,9 @@ def _twisted(path):
 CASES = {
     **{"check_%s_5_42" % s: (["check", s, "5", "42"], None)
        for s in ("prelie", "nap", "coalgebra", "dlaw", "fundamental", "section4", "operads")},
+    # the sizes of the benchmark's check jobs
+    **{"check_%s_%d_42" % (s, n): (["check", s, str(n), "42"], None)
+       for s, n in (("dlaw", 6), ("section4", 7), ("nap", 7), ("coalgebra", 6), ("fundamental", 6))},
     "reconstruct_present_a_5": (["reconstruct", "{file}", "5"], _present("a", 5)),
     "reconstruct_present_ab_3": (["reconstruct", "{file}", "3"], _present("a,b", 3)),
     "reconstruct_twisted_a_4_seed7": (["reconstruct", "{file}", "4"], _twisted),

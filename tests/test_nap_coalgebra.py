@@ -1,18 +1,24 @@
+import itertools
 import random
 
+import checks_oracle
 import cofreeness_oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treelie import checks, nap_coalgebra
-from treelie.freemod import Element, TensorElement, is_invariant_1k
+from treelie.freemod import Element, TensorElement, accumulate, is_invariant_1k
 from treelie.nap_coalgebra import (
     coproduct,
     delta_k,
     insert_y,
     is_primitive,
+    iterates,
     kronecker_pairing,
     tensor_pairing,
 )
+from treelie.rigidity import FreeTreeAlgebra, _delta_iterates
 from treelie.tree_core import enumerate_trees, parse_tree
 
 
@@ -56,6 +62,8 @@ def test_delta_k_vanishes_beyond_degree():
         assert not delta_k(t, last).is_zero()
         for k in range(last + 1, t.max_degree() + 2):
             assert delta_k(t, k).is_zero()
+        # the stream is left at its first zero iterate, so a huge k is cheap
+        assert delta_k(t, 10**9) == TensorElement(10**9 + 1, {})
 
 
 def test_delta_k_bracketings_agree():
@@ -66,6 +74,30 @@ def test_delta_k_bracketings_agree():
 def test_delta_k_rejects_negative():
     with pytest.raises(ValueError):
         delta_k(E("a"), -1)
+
+
+_AB = ("a", "b")
+_AB_UPTO_6 = [t for d in range(1, 7) for t in enumerate_trees(_AB, d)]
+_elements = st.lists(
+    st.tuples(st.sampled_from(_AB_UPTO_6), st.integers(-3, 3)), min_size=1, max_size=4
+).map(lambda terms: Element._trusted(accumulate({}, terms)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_elements, st.integers(0, 6))
+def test_iterate_stream_matches_the_per_k_loop(x, k):
+    """Each item of the stream, and ``delta_k``, equal the loop that rebuilt
+    Delta^k from Delta^0, rank included once the iterates vanish; the
+    iterates of ``e`` and the U-operator witness stop where they stopped."""
+    stream = list(itertools.islice(iterates(x), k + 1))
+    for j, dj in enumerate(stream):
+        expected = checks_oracle.delta_k(x, j)
+        assert dj == expected and dj.rank == expected.rank == j + 1
+    got = delta_k(x, k)
+    assert got == stream[k] and got.rank == k + 1
+    alg = FreeTreeAlgebra(_AB)
+    for t in x.terms:
+        assert list(_delta_iterates(t, alg)) == list(checks_oracle.delta_iterates(t, alg))
 
 
 def test_insert_y_examples():

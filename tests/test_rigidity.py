@@ -345,13 +345,17 @@ def test_validate_catches_prelie():
 
 
 def test_nonconnected_projector_raises():
-    # ungraded circular coproduct: e's truncation must refuse to run forever
-    alg = PresentedAlgebra(
-        {1: ["a"]}, {}, {"a": {("a", "a"): 1}}
+    # ungraded circular coproduct: Delta(a) = a (x) a never vanishes, so the
+    # iterates that e and the U-operator witness read must refuse to run forever
+    alg = PresentedAlgebra.from_json(
+        {"generators": {"1": ["a"]}, "product": {}, "coproduct": {"a": [["1", "a", "a"]]}}
     )
-
-    with pytest.raises(ValidationError):
-        idempotent_e(Element.of(alg.key("a")), alg)
+    for operator in (idempotent_e, mu_image_witness):
+        with pytest.raises(ValidationError) as info:
+            operator(Element.of(alg.key("a")), alg)
+        assert info.value.failures == [
+            "coproduct iterates of a do not terminate; the coalgebra is not connected"
+        ]
 
 
 # -- reconstruction -----------------------------------------------------------
