@@ -25,8 +25,10 @@ a reading.  Just before each run of a job it times
 imports treelie, and stores ``wall_ref`` = median job wall / the median
 reference wall of the run, so runs on a host whose speed drifts can be
 compared.  The inputs of
-``reconstruct`` are written once, untimed, by the measured source's own
-``present`` verb into a temporary directory.
+``reconstruct`` are written once, untimed, into a temporary directory by the
+measured source itself: free presentations by its ``present`` verb, twisted
+ones (the same algebra in a seeded random basis, whose integer constants are
+dense) by its ``rigidity.change_of_basis(free_presentation(...), seed)``.
 
 The result, with the git sha of ``DIR`` (and whether ``src/`` differs from
 it) and the Python version, is stored
@@ -52,10 +54,19 @@ REFERENCE = os.path.join(CHECKOUT, "perfbench", "reference.py")
 TIMEOUT_S = 60
 # passes over the job list; each job keeps its median run
 REPEATS = 3
+# the seed of the twisted inputs' change of basis
+TWIST_SEED = 3
+# writes a twisted input with the measured source: alphabet, degree, seed, path
+TWIST = (
+    "import sys; from treelie import rigidity; alphabet, n, seed, path = sys.argv[1:]; "
+    "free = rigidity.free_presentation(alphabet.split(','), int(n)); "
+    "rigidity.change_of_basis(free, int(seed)).dump(path)"
+)
 
-# (name, CLI arguments, presentation to write first as (alphabet, degree));
-# "{input}" in the arguments is that presentation's file.  The first job does
-# almost no algebra: it times a cold start, interpreter plus imports.
+# (name, CLI arguments, presentation to write first as (alphabet, degree,
+# twist), twist None or the seed of change_of_basis); "{input}" in the
+# arguments is that presentation's file.  The first job does almost no
+# algebra: it times a cold start, interpreter plus imports.
 JOBS = [("product prelie a b", ["product", "prelie", "a", "b"], None)]
 JOBS += [("check %s 5 42" % suite, ["check", suite, "5", "42"], None) for suite in ("operads", "all")]
 # the two suites whose size the check limit, 8, bounds: e's A_k cache and the cofreeness walk
@@ -67,8 +78,14 @@ JOBS += [
 ]
 JOBS += [("enumerate labeled %d" % n, ["enumerate", "labeled", str(n)], None) for n in (7, 8)]
 JOBS += [
-    ("reconstruct present %s %d" % (alphabet, n), ["reconstruct", "{input}", str(n)], (alphabet, n))
+    ("reconstruct present %s %d" % (alphabet, n), ["reconstruct", "{input}", str(n)], (alphabet, n, None))
     for alphabet, sizes in (("a", (12, 13, 14)), ("a,b", (7, 8, 9)))
+    for n in sizes
+]
+# the dense ladder: the rank certificate's case, which the free algebras hardly exercise
+JOBS += [
+    ("reconstruct twisted %s %d" % (alphabet, n), ["reconstruct", "{input}", str(n)], (alphabet, n, TWIST_SEED))
+    for alphabet, sizes in (("a", (8, 9)), ("a,b", (5,)))
     for n in sizes
 ]
 
@@ -139,9 +156,14 @@ def bench(repo, workdir):
     argvs = []
     for name, args, present in JOBS:
         if present:
-            alphabet, n = present
-            path = os.path.join(workdir, "%s-%d.json" % (alphabet.replace(",", ""), n))
-            subprocess.run(cli + ["present", alphabet, str(n), "-o", path], env=env, check=True)
+            alphabet, n, twist = present
+            filename = "%s-%d%s.json" % (alphabet.replace(",", ""), n, "" if twist is None else "-twisted")
+            path = os.path.join(workdir, filename)
+            if twist is None:
+                subprocess.run(cli + ["present", alphabet, str(n), "-o", path], env=env, check=True)
+            else:
+                write = [sys.executable, "-c", TWIST, alphabet, str(n), str(twist), path]
+                subprocess.run(write, env=env, check=True)
             args = [path if a == "{input}" else a for a in args]
         argvs.append(cli + args)
     runs = [[] for _ in JOBS]

@@ -20,12 +20,15 @@ dicts, with remainders and nullspaces built on it) under the dense
 list-of-lists ``echelon``/``nullspace``/``invert_matrix``, and ``Filtration``,
 the coalgebra filtration of a graded basis, built once and queried per
 element: each degree's coproducts and tensor spans share one map from the
-pairs of keys they meet to sparse column ids.
+pairs of keys they meet to sparse column ids.  A full rank, the answer on
+every algebra ``reconstruct`` accepts, is certified mod a prime
+(``rank_mod_p``) before any of this runs.  ``fractions`` is imported only
+where a Fraction is made, so work on integer data never loads it.
 """
 
+import heapq
 import math
 import reprlib
-from fractions import Fraction
 
 from treelie import tree_core
 
@@ -34,7 +37,13 @@ MAX_RATIONAL_EXPONENT = 2000
 
 
 def _coeff(c):
-    if isinstance(c, (int, Fraction)):
+    # ``fractions`` is imported where a Fraction is made, so an all-integer
+    # run never loads it (nor the ``decimal`` and ``numbers`` it imports)
+    if type(c) is int:
+        return c
+    from fractions import Fraction
+
+    if isinstance(c, (int, Fraction)) and not isinstance(c, bool):
         return c
     raise TypeError("coefficient must be int or Fraction, got %r" % type(c).__name__)
 
@@ -73,6 +82,8 @@ def parse_rational(text):
     if not bounded:
         message = "rational exponent outside -%d..%d: %s"
         raise ValueError(message % (MAX_RATIONAL_EXPONENT, MAX_RATIONAL_EXPONENT, reprlib.repr(text)))
+    from fractions import Fraction
+
     try:
         q = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -328,7 +339,13 @@ def is_invariant_1k(t):
 # zero values and int or Fraction coefficients.  ``rref`` is the one
 # elimination routine; ``reduce_row`` and ``sparse_nullspace`` are built on
 # its result, and the dense list-of-lists functions below them convert to
-# and from it.
+# and from it.  ``rank_mod_p`` certifies full ranks without it.
+
+# The prime of the rank certificate.  Reduction mod p is a ring homomorphism
+# on the rationals whose denominators p does not divide, so a minor nonzero
+# mod p is nonzero over Q: rank mod p <= rank over Q <= min(rows, columns),
+# and a rank mod p equal to that bound is the exact rank.
+RANK_PRIME = 2**31 - 1
 
 
 def _axpy(row, f, other, skip):
@@ -371,6 +388,8 @@ def rref(rows):
         p = min(row)
         lead = row[p]
         if lead != 1:
+            from fractions import Fraction
+
             inv = Fraction(1) / lead
             row = {c: v * inv for c, v in row.items()}
         row[p] = 1
@@ -404,11 +423,63 @@ def sparse_nullspace(rows, ncols):
     return out
 
 
+def rank_mod_p(rows):
+    """Rank over the integers mod ``RANK_PRIME`` of sparse rows, or None
+    when an entry's denominator is divisible by the prime.
+
+    A lower bound on the exact rank (see ``RANK_PRIME``), computed without
+    rational arithmetic.  The rows are reduced in turn against an echelon
+    form whose rows are 1 at their pivot, the leftmost column they hold (the
+    1 is left out of the stored row): a pivot row only reaches columns right
+    of its pivot, so the pivots a row meets are eliminated in increasing
+    order off a heap.
+    """
+    p = RANK_PRIME
+    ech = {}
+    for row in rows:
+        r = {}
+        for c, v in row.items():
+            if type(v) is not int:
+                den = v.denominator % p
+                if not den:
+                    return None
+                v = v.numerator * pow(den, -1, p)
+            v %= p
+            if v:
+                r[c] = v
+        get = r.get
+        todo = [c for c in r if c in ech]
+        heapq.heapify(todo)
+        while todo:
+            c = heapq.heappop(todo)
+            f = r.pop(c, 0)
+            if not f:
+                continue  # pushed twice, or cancelled since
+            for k, w in ech[c].items():
+                old = get(k)
+                v = ((old or 0) - f * w) % p
+                if v:
+                    if old is None and k in ech:
+                        heapq.heappush(todo, k)
+                    r[k] = v
+                elif old is not None:
+                    del r[k]
+        if r:
+            c = min(r)
+            inv = pow(r.pop(c), -1, p)
+            ech[c] = {k: v * inv % p for k, v in r.items()}
+    return len(ech)
+
+
 def _sparse(rows):
+    from fractions import Fraction
+
     return [{c: Fraction(v) for c, v in enumerate(r) if v} for r in rows]
 
 
 def _dense(row, ncols):
+    from fractions import Fraction
+
     return [Fraction(row.get(c, 0)) for c in range(ncols)]
 
 
@@ -437,13 +508,17 @@ def invert_matrix(rows):
     ech = rref(aug)
     if list(ech)[:n] != list(range(n)):
         raise ValueError("matrix is singular")
+    from fractions import Fraction
+
     return [[Fraction(row.get(n + j, 0)) for j in range(n)] for row in ech.values()]
 
 
 def rank_of_family(elements, degree):
     """Exact rank of a family of degree-homogeneous Elements.
 
-    Raises ValueError when any member is inhomogeneous or sits in the wrong
+    A rank mod ``RANK_PRIME`` equal to ``min(members, keys met)`` is the
+    exact rank, found without rational arithmetic; any other family is
+    eliminated by ``rref``.  Raises ValueError when any member is inhomogeneous or sits in the wrong
     degree; the empty family has rank 0.
     """
     index = {}
@@ -452,6 +527,9 @@ def rank_of_family(elements, degree):
         if not x.is_homogeneous(degree):
             raise ValueError("inhomogeneous input: degrees %s, expected %d" % (x.degrees(), degree))
         rows.append({index.setdefault(k, len(index)): c for k, c in x.items()})
+    rank = rank_mod_p(rows)
+    if rank is not None and rank == min(len(rows), len(index)):
+        return rank
     return len(rref(rows))
 
 
@@ -513,6 +591,12 @@ class Filtration:
         if n > 1:
             span = self._tensor_span(n, columns)
             rows = [reduce_row(row, span) for row in rows]
+        # C_n within H_d is the left kernel of these rows: all of H_d when
+        # they are zero, and 0 when they are independent (the certificate)
+        if not any(rows):
+            return {i: {i: 1} for i in range(dim)}
+        if rank_mod_p(rows) == dim:
+            return {}
         # the reduced coproduct rows transposed: one row per column, indexed
         # by the basis keys of H_d
         transposed = {}

@@ -22,7 +22,6 @@ import itertools
 import math
 import random
 import reprlib
-from fractions import Fraction
 
 from treelie import kernel, tree_core
 from treelie.freemod import (
@@ -596,6 +595,8 @@ def idempotent_e(x, alg):
     a larger tree's term, and is stored then.  Only the proper sub-tuples
     enter the ``ak`` cache.
     """
+    from fractions import Fraction
+
     cache = alg.cache("e")
     ak = alg.cache("ak")
 
@@ -616,6 +617,8 @@ def idempotent_e(x, alg):
 
 def mu_image_witness(x, alg):
     """Rank-2 tensor w with mu(w) = x - e(x), built from the U operators."""
+    from fractions import Fraction
+
     acc = {}
     for t, c in x.items():
         for k, dk in _delta_iterates(t, alg):

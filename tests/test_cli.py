@@ -702,6 +702,28 @@ def test_well_formed_runs_load_no_argparse(tmp_path, argv, modules):
         assert last == "0 [] %r" % modules
 
 
+@pytest.mark.parametrize("twist", [None, 3], ids=["free", "twisted"])
+def test_integer_reconstruct_loads_no_fractions(tmp_path, twist):
+    """``reconstruct`` of a document whose constants are all integers, in
+    a fresh interpreter, loads neither ``fractions`` nor the ``decimal`` and
+    ``numbers`` it imports; rational text still reads as a ``Fraction``."""
+    alg = rigidity.free_presentation(["a", "b"], 4)
+    if twist is not None:
+        alg = rigidity.change_of_basis(alg, twist)
+    path = tmp_path / "doc.json"
+    alg.dump(str(path))
+    rational = ("fractions", "decimal", "numbers")
+    probe = (
+        "import sys, treelie.cli; code = treelie.cli.main(sys.argv[1:]); "
+        "loaded = [m for m in %r if m in sys.modules]; "
+        "from treelie.freemod import parse_rational; print(code, loaded, type(parse_rational('1/2')).__name__)"
+    )
+    code, out, err = _process("reconstruct", str(path), "4", prefix=("-c", probe % (rational,)))
+    lines = out.splitlines()
+    assert (code, err) == (0, "")
+    assert lines[-2:] == ["isomorphism up to degree 4, dims 2,4,14,52", "0 [] Fraction"]
+
+
 def test_check_suite_names_are_the_suites():
     assert cli.CHECK_SUITES == tuple(sorted(checks.SUITES))
 

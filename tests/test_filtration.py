@@ -14,8 +14,17 @@ from dense_linalg import echelon, element_vector, in_row_span, nullspace, reduce
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treelie import checks, cli, rigidity, tree_core
-from treelie.freemod import Element, Filtration, TensorElement, accumulate, filtration_degree
+from treelie import checks, cli, freemod, rigidity, tree_core
+from treelie.freemod import (
+    Element,
+    Filtration,
+    TensorElement,
+    accumulate,
+    filtration_degree,
+    reduce_row,
+    rref,
+    sparse_nullspace,
+)
 from treelie.nap_coalgebra import coproduct_basis
 from treelie.tree_core import parse_tree
 
@@ -331,6 +340,49 @@ def test_grading_bounds_the_filtration_degree(data):
     for limit in (1, 5):
         expected = validate_oracle.validate(rigidity.PresentedAlgebra.from_json(doc), top, limit)
         assert rigidity.validate(alg, top, limit) == expected
+
+
+def _exact_build(self, n, d):
+    """``Filtration._build`` without its shortcuts: every space is the
+    ``rref`` of the nullspace of the reduced coproduct rows."""
+    dim = len(self._bases[d])
+    if n > 1:
+        below = self._space(n - 1, d)
+        if len(below) == dim:
+            return below
+    columns, rows = self._lay_out(d)
+    if n > 1:
+        span = self._tensor_span(n, columns)
+        rows = [reduce_row(row, span) for row in rows]
+    transposed = {}
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            transposed.setdefault(c, {})[i] = v
+    return rref(sparse_nullspace(transposed.values(), dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rank_certificate_keeps_the_filtration(data):
+    """Every ``C_n`` within ``H_d`` and every ``primitives_basis`` equal
+    the exact path's, with the certificate's prime lowered to 2, 3 or 5 so
+    that reductions lose rank and the documents' 1/2 has no value mod 2."""
+    doc, top = _graded_doc(data)
+    prime = data.draw(st.sampled_from([2, 3, 5, freemod.RANK_PRIME]), label="prime")
+
+    def spaces():
+        alg = rigidity.PresentedAlgebra.from_json(doc)
+        filtration = Filtration(alg.coproduct_basis, alg.basis, top)
+        degrees = range(1, top + 1)
+        got = [filtration.space(n, d) for n in degrees for d in degrees]
+        return got + [rigidity.primitives_basis(alg, d) for d in degrees]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Filtration, "_build", _exact_build)
+        expected = spaces()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(freemod, "RANK_PRIME", prime)
+        assert spaces() == expected
 
 
 def test_cooperation_vanishing_builds_one_filtration(monkeypatch):

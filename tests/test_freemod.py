@@ -83,6 +83,19 @@ def test_public_constructors_reject_floats():
             TensorElement.of((a, a), c)
 
 
+def test_public_constructors_reject_bools():
+    """``bool`` is an ``int`` subclass, but ``True`` is no coefficient:
+    ``Element({a: True})`` once rendered as ``True * a``."""
+    a = parse_tree("a")
+    for c in (True, False):
+        with pytest.raises(TypeError, match="got 'bool'"):
+            Element({a: c})
+        with pytest.raises(TypeError):
+            TensorElement(2, {(a, a): c})
+        with pytest.raises(TypeError):
+            c * E("a")
+
+
 def test_parse_rational_keeps_integers_as_int():
     # "\u0663" (ARABIC-INDIC DIGIT THREE) is a decimal digit Fraction reads;
     # "\u00b2" (SUPERSCRIPT TWO) passes str.isdigit but is no decimal digit

@@ -10,11 +10,13 @@ from dense_linalg import element_vector
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treelie import freemod
 from treelie.freemod import (
     Element,
     echelon,
     invert_matrix,
     nullspace,
+    rank_mod_p,
     rank_of_family,
     render_rational,
     rref,
@@ -117,6 +119,56 @@ def test_rank_of_family_matches_dense():
         rows = [element_vector(x, index) for x in family[:k]]
         assert rank_of_family(family[:k], 3) == dense.matrix_rank(rows)
 
+
+
+def _rank_mod(rows, p):
+    """Rank of a dense matrix over the integers mod ``p``, or None when an
+    entry's denominator is divisible by ``p``: the oracle of ``rank_mod_p``."""
+    mat = []
+    for r in rows:
+        if any(Fraction(v).denominator % p == 0 for v in r):
+            return None
+        mat.append([Fraction(v).numerator * pow(Fraction(v).denominator, -1, p) % p for v in r])
+    rank = 0
+    for c in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = pow(mat[rank][c], -1, p)
+        for i in range(len(mat)):
+            if i != rank and mat[i][c]:
+                f = mat[i][c] * inv
+                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(), st.sampled_from([2, 3, 5, freemod.RANK_PRIME]))
+def test_rank_certificate_matches_dense(rows, prime):
+    """With the prime lowered to 2, 3 or 5, reductions lose rank and
+    denominators vanish mod p: ``rank_mod_p`` is the rank of the matrix mod
+    p (None when a denominator vanishes), and ``rank_of_family``, which
+    takes it only when it is full, stays the exact rank."""
+    trees = enumerate_trees(["a", "b"], 3)
+    family = [Element(dict(zip(trees, r))) for r in rows]
+    sparse = [{c: v for c, v in enumerate(r) if v} for r in rows]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(freemod, "RANK_PRIME", prime)
+        assert rank_mod_p(sparse) == _rank_mod(rows, prime)
+        assert rank_of_family(family, 3) == dense.matrix_rank(rows)
+
+
+def test_rank_of_family_falls_back_when_the_certificate_fails(monkeypatch):
+    """Mod 2 the row 2 * t vanishes and 1/2 * t has no value; both are rank
+    1 over Q, found by ``rref``."""
+    t = enumerate_trees(["a"], 3)[0]
+    monkeypatch.setattr(freemod, "RANK_PRIME", 2)
+    for c in (2, Fraction(1, 2)):
+        assert rank_of_family([Element.of(t, c)], 3) == 1
+    assert rank_mod_p([{0: 2}]) == 0 and rank_mod_p([{0: Fraction(1, 2)}]) is None
+    assert rank_of_family([Element.of(t, 3)], 3) == 1 and rank_mod_p([{0: 3}]) == 1
 
 
 def oracle_kernel_witness(trees, images):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from basis_change_oracle import change_of_basis as oracle_change_of_basis
 
-from treelie import checks, kernel, rigidity, tree_core
+from treelie import checks, freemod, kernel, rigidity, tree_core
 from treelie.freemod import Element, TensorElement, tensor
 from treelie.prelie import prelie_product
 from treelie.rigidity import (
@@ -383,6 +383,25 @@ def test_reconstruction_after_change_of_basis():
         rep = reconstruct(change_of_basis(alg, seed), 4)
         assert rep.ok
         assert rep.dims() == [1, 1, 2, 4]
+
+
+def test_twisted_reconstruction_runs_no_elimination(monkeypatch):
+    """On an algebra that passes, every rank is full and every primitive
+    space past degree 1 is 0: the certificate mod p answers them all, and
+    degree 1, whose coproducts are zero, is all primitive without ``rref``."""
+    calls = []
+    exact = freemod.rref
+
+    def counting_rref(rows):
+        calls.append(1)
+        return exact(rows)
+
+    monkeypatch.setattr(freemod, "rref", counting_rref)
+    monkeypatch.setattr(rigidity, "rref", counting_rref)
+    rep = reconstruct(change_of_basis(free_presentation(["a", "b"], 4), 3), 4)
+    assert rep.ok and rep.dims() == [2, 4, 14, 52]
+    assert rep.primitive_dims == {1: 2, 2: 0, 3: 0, 4: 0}
+    assert calls == []
 
 
 @pytest.mark.parametrize(
