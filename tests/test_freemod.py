@@ -84,8 +84,8 @@ def test_public_constructors_reject_floats():
 
 
 def test_public_constructors_reject_bools():
-    """``bool`` is an ``int`` subclass, but ``True`` is no coefficient:
-    ``Element({a: True})`` once rendered as ``True * a``."""
+    """``bool`` is an ``int`` subclass, but ``True`` is no coefficient: a
+    term of ``Element({a: True})`` would render as ``True * a``."""
     a = parse_tree("a")
     for c in (True, False):
         with pytest.raises(TypeError, match="got 'bool'"):
