@@ -7,7 +7,8 @@ functions.  A check walks its cases through the one driver ``_run`` and
 returns one CheckResult, carrying the first counterexample's rendering on
 failure; a suite returns a list of them.  The pre-Lie, coalgebra and
 distributive relations are the predicates of ``treelie.rigidity`` that
-``validate`` also calls, here on the free tree algebra.
+``validate`` also calls, here on the free tree algebra, and the pre-Lie and
+permutative ones go through its walk ``symmetric_outcomes``.
 """
 
 import functools
@@ -57,6 +58,7 @@ from treelie.rigidity import (
     primitives_basis,
     projector_image,
     reconstruct,
+    symmetric_outcomes,
     uk_apply,
 )
 
@@ -129,12 +131,13 @@ def _iterates_upto(x, k_max):
 # pre-Lie suite
 
 
+def _at(outcomes):
+    """``symmetric_outcomes`` as check outcomes: ``at (a, b, c)`` for a failing triple."""
+    return (t and "at (%s, %s, %s)" % t for t in outcomes)
+
+
 def check_prelie_relation(alphabet, total):
-    alg = _free(alphabet)
-    cases = (
-        None if prelie_holds(alg, x, y, z) else "at (%s, %s, %s)" % (x, y, z)
-        for x, y, z in degree_tuples(alg, 3, total)
-    )
+    cases = _at(symmetric_outcomes(_free(alphabet), total, prelie_holds))
     return _run("pre-Lie relation over %s, total degree <= %d" % (list(alphabet), total), cases)
 
 
@@ -210,18 +213,15 @@ def suite_prelie(max_degree, seed):
 # NAP product suite
 
 
-def check_nap_relation(alphabet, total):
-    def cases():
-        for x, triples in _by_first(degree_tuples(_free(alphabet), 3, total)):
-            ex = Element.of(x)
-            x_times = functools.cache(lambda w: nap_product(ex, Element.of(w)))
-            for _, y, z in triples:
-                lhs = nap_product(x_times(y), Element.of(z))
-                rhs = nap_product(x_times(z), Element.of(y))
-                yield None if lhs == rhs else "at (%s, %s, %s)" % (x, y, z)
+def _nap_holds(alg, x, y, z):
+    """Permutative relation (xy)z = (xz)y on basis trees, in ``prelie_holds``' shape."""
+    ex, ey, ez = Element.of(x), Element.of(y), Element.of(z)
+    return nap_product(nap_product(ex, ey), ez) == nap_product(nap_product(ex, ez), ey)
 
+
+def check_nap_relation(alphabet, total):
     name = "permutative relation (xy)z = (xz)y over %s, total degree <= %d" % (list(alphabet), total)
-    return _run(name, cases())
+    return _run(name, _at(symmetric_outcomes(_free(alphabet), total, _nap_holds)))
 
 
 def suite_nap(max_degree, seed):

@@ -17,7 +17,7 @@ product, coproduct and operator in the package.
 The module also houses the exact linear algebra needed elsewhere, one
 sparse elimination kernel (``rref`` over rows stored as ``{column: coeff}``
 dicts, with remainders and nullspaces built on it) under the dense
-list-of-lists ``echelon``/``nullspace``/``invert_matrix``, and ``Filtration``,
+list-of-lists ``echelon``/``nullspace``, and ``Filtration``,
 the coalgebra filtration of a graded basis, built once and queried per
 element: each degree's coproducts and tensor spans share one map from the
 pairs of keys they meet to sparse column ids.  A full rank, the answer on
@@ -497,20 +497,6 @@ def nullspace(rows):
         return []
     ncols = len(rows[0])
     return [_dense(v, ncols) for v in sparse_nullspace(_sparse(rows), ncols)]
-
-
-def invert_matrix(rows):
-    """Exact inverse of a square rational matrix; ValueError if singular."""
-    n = len(rows)
-    aug = _sparse(rows)
-    for i, row in enumerate(aug):
-        row[n + i] = 1
-    ech = rref(aug)
-    if list(ech)[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    from fractions import Fraction
-
-    return [[Fraction(row.get(n + j, 0)) for j in range(n)] for row in ech.values()]
 
 
 def rank_of_family(elements, degree):

@@ -106,6 +106,16 @@ def prelie_triples(alg, total):
                 yield a, b, c
 
 
+def symmetric_outcomes(alg, total, holds):
+    """For each triple of ``degree_tuples(alg, 3, total)``, ``None`` if ``holds(alg,
+    a, b, c)``, else the triple.  ``holds`` is symmetric in ``b`` and ``c``, so it
+    is evaluated on ``prelie_triples``, and on the ordered triples only after a
+    failure there: failures come in the ordered walk's order."""
+    held = all(holds(alg, a, b, c) for a, b, c in prelie_triples(alg, total))
+    for t in degree_tuples(alg, 3, total):
+        yield None if held or holds(alg, *t) else t
+
+
 def prelie_holds(alg, a, b, c):
     """Pre-Lie relation: the associator (a o b) o c - a o (b o c) is symmetric in b and c."""
     ea, eb, ec = Element.of(a), Element.of(b), Element.of(c)
@@ -292,22 +302,22 @@ class PresentedAlgebra(Algebra):
             raise ValueError("presented algebra document must be a JSON object")
         try:
             generators = {}
-            for d, names in doc.get("generators", {}).items():
+            for d, names in _object(doc.get("generators", {}), "generators").items():
                 if type(names) is not list or not set(map(type, names)) <= {str}:
                     raise _malformed("generators of degree %s" % d, "an array of strings", names)
-                if str(int(d)) != d:  # so that no two keys name one degree
+                if not d.removeprefix("-").isdecimal() or str(int(d)) != d:  # no two keys name one degree
                     raise _malformed("generator degree", "an integer in canonical decimal form", d)
                 generators[int(d)] = names
             named = []  # every name a term mentions, checked even if its sum is zero
             product = {}
-            for a, by_right in doc.get("product", {}).items():
-                for b, terms in by_right.items():
+            for a, by_right in _object(doc.get("product", {}), "product").items():
+                for b, terms in _object(by_right, "products of %r" % a).items():
                     terms = _terms(terms, 2, "product of %r and %r", a, b)
                     pairs = [(name, parse_rational(c)) for c, name in terms]
                     named.extend(name for name, _ in pairs)
                     product[(a, b)] = accumulate({}, pairs)
             coproduct = {}
-            for a, terms in doc.get("coproduct", {}).items():
+            for a, terms in _object(doc.get("coproduct", {}), "coproduct").items():
                 pairs = [((u, v), parse_rational(c)) for c, u, v in _terms(terms, 3, "coproduct of %r", a)]
                 named.extend(name for pair, _ in pairs for name in pair)
                 coproduct[a] = accumulate({}, pairs)
@@ -357,6 +367,13 @@ def _unique_keys(pairs):
 
 def _malformed(where, expected, value):
     return ValueError("%s: expected %s, got %s" % (where, expected, reprlib.repr(value)))
+
+
+def _object(value, where):
+    """``value``, checked to be a JSON object, whose ``.items()`` is read."""
+    if type(value) is not dict:
+        raise _malformed(where, "an object", value)
+    return value
 
 
 def _terms(terms, width, where, *keys):
@@ -499,13 +516,9 @@ def validate(alg, max_degree, limit=5):
     if failures:
         return failures
 
-    # the relation at (a, b, c) and at (a, c, b) is one equation, and holds
-    # when b == c; only on a failure are all ordered triples walked, so that
-    # the failures are listed in that walk's order
-    if not all(prelie_holds(alg, a, b, c) for a, b, c in prelie_triples(alg, max_degree)):
-        for a, b, c in degree_tuples(alg, 3, max_degree):
-            if not prelie_holds(alg, a, b, c):
-                fail("pre-Lie relation fails at (%s, %s, %s)" % (a, b, c))
+    for t in symmetric_outcomes(alg, max_degree, prelie_holds):
+        if t is not None:
+            fail("pre-Lie relation fails at (%s, %s, %s)" % t)
     return failures
 
 

@@ -6,9 +6,9 @@ the oracle for the differential test."""
 import random
 from fractions import Fraction
 
-from dense_linalg import element_vector
+from dense_linalg import element_vector, invert_matrix
 
-from treelie.freemod import Element, invert_matrix, linear, tensor
+from treelie.freemod import Element, linear, tensor
 from treelie.rigidity import PresentedAlgebra
 
 

@@ -7,7 +7,9 @@ the run's shared algebra.
 witness.  The checks below recompute every iterate and product per case with
 the free ``prelie_product`` and ``module_action``.  They read the kernel's
 ``prelie_counts`` and ``coproduct_counts`` at each call, so a test that
-replaces either on ``treelie.kernel`` reaches them too.
+replaces either on ``treelie.kernel`` reaches them too.  The pre-Lie and
+permutative relations are evaluated at every ordered triple, as before both
+walked one equation per pair of triples that differ by swapping the last two.
 """
 
 import math
@@ -16,7 +18,7 @@ from treelie.checks import _basis_upto, _free, _run, _symmetrize_tail
 from treelie.freemod import Element, TensorElement, accumulate, expand_slot, is_invariant_1k
 from treelie.nap_coalgebra import coproduct, coproduct_basis, insert_y
 from treelie.prelie import module_action, nap_product, prelie_product
-from treelie.rigidity import ValidationError, ak_apply, degree_tuples, idempotent_e, uk_apply
+from treelie.rigidity import ValidationError, ak_apply, degree_tuples, idempotent_e, prelie_holds, uk_apply
 
 
 def delta_k(x, k):
@@ -43,6 +45,15 @@ def delta_iterates(t, alg):
                 ["coproduct iterates of %s do not terminate; the coalgebra is not connected" % t]
             )
         yield k, cur
+
+
+def check_prelie_relation(alphabet, total):
+    alg = _free(alphabet)
+    cases = (
+        None if prelie_holds(alg, x, y, z) else "at (%s, %s, %s)" % (x, y, z)
+        for x, y, z in degree_tuples(alg, 3, total)
+    )
+    return _run("pre-Lie relation over %s, total degree <= %d" % (list(alphabet), total), cases)
 
 
 def check_nap_relation(alphabet, total):

@@ -1,5 +1,6 @@
 """The checks that read each element's iterates once, and its products through
-the run's shared algebra, return the results of the per-case walks in
+the run's shared algebra, and the relations walked once per equation by
+``symmetric_outcomes``, return the results of the per-case walks in
 ``checks_oracle``: the same verdict, the same first witness and the same case
 count.  They are compared on the free algebra and on two perturbed kernels,
 which every path reads at each call: the coproduct of one tree doubled, and
@@ -13,6 +14,8 @@ from treelie import checks, kernel
 from treelie.tree_core import parse_tree
 
 CASES = [
+    ("check_prelie_relation", (("a",), 6)),
+    ("check_prelie_relation", (("a", "b"), 5)),
     ("check_nap_relation", (("a",), 6)),
     ("check_nap_relation", (("a", "b"), 5)),
     ("check_deltak_invariance", (("a",), 6, 4)),

@@ -286,6 +286,7 @@ def test_reconstruct_malformed_exit_2(tmp_path, capsys):
     assert "format error" in err
 
 
+NOT_CANONICAL = "generator degree: expected an integer in canonical decimal form, got "
 GENERATORS_NOT_STRINGS = "generators of degree 1: expected an array of strings, got "
 PRODUCT = '{"generators": {"1": ["a", "b"], "2": ["c"]}, "product": {"a": {"a": %s}}}'
 COPRODUCT = '{"generators": {"1": ["x"], "2": ["y"]}, "coproduct": {"y": %s}}'
@@ -312,6 +313,19 @@ COPRODUCT = '{"generators": {"1": ["x"], "2": ["y"]}, "coproduct": {"y": %s}}'
             COPRODUCT % '[["1", "x", ["x"]]]',
             "a term of the coproduct of 'y': expected an array of 3 strings, got ['1', 'x', ['x']]",
         ),
+        # a section that is not an object, named rather than read by ``.items()``
+        ('{"generators": []}', "generators: expected an object, got []"),
+        ('{"generators": null}', "generators: expected an object, got None"),
+        ('{"generators": {"1": ["a"]}, "product": []}', "product: expected an object, got []"),
+        ('{"generators": {"1": ["a"]}, "product": null}', "product: expected an object, got None"),
+        ('{"generators": {"1": ["a"]}, "product": {"a": []}}', "products of 'a': expected an object, got []"),
+        ('{"generators": {"1": ["a"]}, "product": {"a": null}}',
+         "products of 'a': expected an object, got None"),
+        ('{"generators": {"1": ["a"]}, "coproduct": [["1", "a", "a"]]}',
+         "coproduct: expected an object, got [['1', 'a', 'a']]"),
+        ('{"generators": {"1": ["a"]}, "coproduct": null}', "coproduct: expected an object, got None"),
+        # a degree key that ``int()`` cannot read
+        ('{"generators": {"x": ["a"]}}', NOT_CANONICAL + "'x'"),
     ],
 )
 def test_reconstruct_malformed_document_exits_2_with_one_line(tmp_path, capsys, text, message):
@@ -319,9 +333,6 @@ def test_reconstruct_malformed_document_exits_2_with_one_line(tmp_path, capsys, 
     path.write_text(text)
     code, out, err = run_cli(capsys, "reconstruct", str(path), "1")
     assert (code, out, err) == (2, "", "format error: malformed presented algebra document: %s\n" % message)
-
-
-NOT_CANONICAL = "generator degree: expected an integer in canonical decimal form, got "
 
 
 @pytest.mark.parametrize(

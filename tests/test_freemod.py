@@ -16,7 +16,6 @@ from treelie.freemod import (
     bilinear,
     echelon,
     filtration_degree,
-    invert_matrix,
     is_invariant_1k,
     linear,
     nullspace,
@@ -473,19 +472,6 @@ def test_echelon_rank_nullspace():
         for row in rows:
             assert sum(Fraction(a) * b for a, b in zip(row, vec)) == 0
     assert len(nullspace(rows)) == 1
-
-
-def test_invert_matrix():
-    m = [[2, 1, 0], [1, 1, 1], [0, 3, 1]]
-    inv = invert_matrix(m)
-    n = len(m)
-    prod = [
-        [sum(Fraction(m[i][k]) * inv[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-    assert prod == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    with pytest.raises(ValueError):
-        invert_matrix([[1, 2], [2, 4]])
 
 
 # -- serialization ------------------------------------------------------------

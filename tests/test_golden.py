@@ -38,7 +38,8 @@ CASES = {
        for s in ("prelie", "nap", "coalgebra", "dlaw", "fundamental", "section4", "operads")},
     # the sizes of the benchmark's check jobs
     **{"check_%s_%d_42" % (s, n): (["check", s, str(n), "42"], None)
-       for s, n in (("dlaw", 6), ("section4", 7), ("nap", 7), ("coalgebra", 6), ("fundamental", 6))},
+       for s, n in (("dlaw", 6), ("section4", 7), ("prelie", 7), ("nap", 7), ("coalgebra", 6),
+                    ("fundamental", 6))},
     "reconstruct_present_a_5": (["reconstruct", "{file}", "5"], _present("a", 5)),
     "reconstruct_present_ab_3": (["reconstruct", "{file}", "3"], _present("a,b", 3)),
     "reconstruct_twisted_a_4_seed7": (["reconstruct", "{file}", "4"], _twisted),
@@ -54,6 +55,15 @@ CASES = {
     **{"help_" + verb: ([verb, "-h"], None)
        for verb in ("product", "coproduct", "e", "check", "reconstruct", "enumerate", "present")},
 }
+
+
+def golden_path(name):
+    """The golden file of a case.  Argparse 3.13 prints ``-o, --output
+    OUTPUT`` on one line and narrows the help column, so ``help_present``
+    has a second file for 3.13 and later."""
+    if name == "help_present" and sys.version_info >= (3, 13):
+        name += "_py313"
+    return GOLDEN / (name + ".txt")
 
 
 def run_case(name, tmpdir):
@@ -78,7 +88,7 @@ def test_golden_stdout(name, tmp_path, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     code, out = run_case(name, tmp_path)
     assert code == 0
-    assert out.encode() == (GOLDEN / (name + ".txt")).read_bytes()
+    assert out.encode() == golden_path(name).read_bytes()
 
 
 # Verbs whose stdout must not depend on PYTHONHASHSEED: trees hash by
@@ -126,5 +136,5 @@ if __name__ == "__main__":
             code, out = run_case(name, tmp)
             if code != 0:
                 sys.exit("%s exited %d" % (name, code))
-            (GOLDEN / (name + ".txt")).write_bytes(out.encode())
+            golden_path(name).write_bytes(out.encode())
             print("wrote", name)

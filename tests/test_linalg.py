@@ -14,7 +14,6 @@ from treelie import freemod
 from treelie.freemod import (
     Element,
     echelon,
-    invert_matrix,
     nullspace,
     rank_mod_p,
     rank_of_family,
@@ -47,16 +46,6 @@ def matrices(draw, shape=None):
     return rows
 
 
-@st.composite
-def singular_squares(draw):
-    n = draw(st.integers(1, 5))
-    rows = draw(matrices((n - 1, n))) if n > 1 else []
-    # the last row is a combination of the others (zero when n == 1)
-    coeffs = [draw(st.integers(-2, 2)) for _ in rows]
-    rows.append([sum((c * r[j] for c, r in zip(coeffs, rows)), 0) for j in range(n)])
-    return rows
-
-
 def _all_fractions(rows):
     return all(isinstance(v, Fraction) for row in rows for v in row)
 
@@ -70,20 +59,6 @@ def test_echelon_rank_nullspace_match_dense(rows):
     null = nullspace(rows)
     assert null == dense.nullspace(rows)
     assert _all_fractions(null)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(st.integers(0, 5).flatmap(lambda n: matrices((n, n))), singular_squares()))
-def test_invert_matrix_matches_dense(rows):
-    try:
-        expected = dense.invert_matrix(rows)
-    except ValueError:
-        with pytest.raises(ValueError):
-            invert_matrix(rows)
-        return
-    got = invert_matrix(rows)
-    assert got == expected
-    assert _all_fractions(got)
 
 
 @settings(max_examples=200, deadline=None)

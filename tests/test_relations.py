@@ -17,6 +17,7 @@ from treelie.rigidity import (
     free_presentation,
     prelie_holds,
     prelie_triples,
+    symmetric_outcomes,
     validate,
 )
 
@@ -132,9 +133,10 @@ def test_validate_matches_the_oracle_on_perturbed_constants(base, limit, data):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(BASES)), st.data())
 def test_halved_prelie_walk_fails_exactly_when_the_full_walk_fails(base, data):
-    """``validate``'s pre-Lie pass walks ``prelie_triples`` and falls back to
+    """``symmetric_outcomes`` walks ``prelie_triples`` and falls back to
     every ordered triple on a failure: the two walks give the same verdict,
-    and ``validate`` prints what the full walk of the oracle prints."""
+    the walker yields the ordered walk's outcomes, and ``validate`` prints
+    what the full walk of the oracle prints."""
     doc = copy.deepcopy(_base_doc(base))
     # a new basis element added to one product can break the pre-Lie relation alone
     kinds = data.draw(st.sampled_from([KINDS, ["new in product"]]))
@@ -145,6 +147,8 @@ def test_halved_prelie_walk_fails_exactly_when_the_full_walk_fails(base, data):
     halved = all(prelie_holds(alg, *t) for t in prelie_triples(alg, max_degree))
     full = all(prelie_holds(alg, *t) for t in degree_tuples(alg, 3, max_degree))
     assert halved == full
+    ordered = [None if prelie_holds(alg, *t) else t for t in degree_tuples(alg, 3, max_degree)]
+    assert list(symmetric_outcomes(alg, max_degree, prelie_holds)) == ordered
     _same_failures(doc, max_degree, 5)
 
 
@@ -198,9 +202,15 @@ def test_driver_counts_cases_and_stops_at_the_first_failure():
 
 
 def test_driver_reports_the_first_failing_tuple(monkeypatch):
-    triples = list(degree_tuples(FreeTreeAlgebra(("a", "b")), 3, 4))
+    """The pre-Lie check walks ``symmetric_outcomes``: on success it evaluates
+    the halved triples only and still counts every ordered triple; on a
+    failure it walks the ordered triples up to the first failure, which it
+    reports."""
+    alg = FreeTreeAlgebra(("a", "b"))
+    triples = list(degree_tuples(alg, 3, 4))
+    halved = list(prelie_triples(alg, 4))
     assert checks.check_prelie_relation(("a", "b"), 4).detail == "%d cases" % len(triples)
-    bad = {triples[7], triples[11]}
+    bad = set()
     seen = []
 
     def prelie_holds(alg, x, y, z):
@@ -208,8 +218,14 @@ def test_driver_reports_the_first_failing_tuple(monkeypatch):
         return (x, y, z) not in bad
 
     monkeypatch.setattr(checks, "prelie_holds", prelie_holds)
+    assert checks.check_prelie_relation(("a", "b"), 4).detail == "%d cases" % len(triples)
+    assert seen == halved
+    # a relation symmetric in its last two slots fails at (x, y, z) and at (x, z, y)
+    bad.update(t for x, y, z in (triples[8], triples[11]) for t in ((x, y, z), (x, z, y)))
+    seen.clear()
     result = checks.check_prelie_relation(("a", "b"), 4)
     assert not result.ok
-    assert result.detail == "at (%s, %s, %s)" % triples[7]
+    assert result.detail == "at (%s, %s, %s)" % triples[8]
     assert result.line() == "FAIL pre-Lie relation over ['a', 'b'], total degree <= 4: " + result.detail
-    assert seen == triples[:8]
+    # the halved walk up to its first failure, then the ordered walk up to the same triple
+    assert seen == halved[: halved.index(triples[8]) + 1] + triples[:9]
