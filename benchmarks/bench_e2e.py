@@ -79,13 +79,13 @@ JOBS += [
 JOBS += [("enumerate labeled %d" % n, ["enumerate", "labeled", str(n)], None) for n in (7, 8)]
 JOBS += [
     ("reconstruct present %s %d" % (alphabet, n), ["reconstruct", "{input}", str(n)], (alphabet, n, None))
-    for alphabet, sizes in (("a", (12, 13, 14)), ("a,b", (7, 8, 9)))
+    for alphabet, sizes in (("a", (12, 13, 14, 15)), ("a,b", (7, 8, 9)))
     for n in sizes
 ]
 # the dense ladder: the rank certificate's case, which the free algebras hardly exercise
 JOBS += [
     ("reconstruct twisted %s %d" % (alphabet, n), ["reconstruct", "{input}", str(n)], (alphabet, n, TWIST_SEED))
-    for alphabet, sizes in (("a", (8, 9)), ("a,b", (5,)))
+    for alphabet, sizes in (("a", (8, 9, 10)), ("a,b", (5, 6)))
     for n in sizes
 ]
 

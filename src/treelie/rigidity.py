@@ -9,12 +9,14 @@ subclasses are the free tree algebra and a presented algebra.
 
 A "presented algebra" is a graded vector space with finitely many basis
 names per degree plus structure constants for a binary product and a binary
-coproduct.  After validating the grading, the pre-Lie relation, the
-permutative coalgebra relation and the product/coproduct compatibility law
-(connectedness follows from the grading, since every degree is at least 1),
-the reconstruction builds the unique algebra morphism from the free pre-Lie
-algebra on the primitives and reports, degree by degree, whether it is an
-isomorphism that also intertwines the coproducts.
+coproduct.  The reconstruction builds the unique algebra morphism from the
+free pre-Lie algebra on the primitives and reports, degree by degree, whether
+it is an isomorphism that also intertwines the coproducts.  It first tries to
+certify exactly that, which by the rigidity theorem implies every hypothesis;
+an algebra it does not certify is validated first: the grading, the pre-Lie
+relation, the permutative coalgebra relation and the product/coproduct
+compatibility law (connectedness follows from the grading, since every degree
+is at least 1).
 """
 
 import functools
@@ -71,22 +73,25 @@ class Algebra:
 
 
 def degree_tuples(alg, slots, total):
-    """Ordered ``slots``-tuples of basis keys of ``alg`` with degree sum at most
-    ``total``, in lexicographic order of the degree-sorted basis.  Every degree
-    is at least 1, so each slot reads ``alg.basis(d)`` bucket by bucket and
-    stops at the first bucket that leaves no degree for the slots after it."""
+    """Ordered ``slots``-tuples (``slots >= 1``) of basis keys of ``alg`` with
+    degree sum at most ``total``, in lexicographic order of the degree-sorted
+    basis.  Every degree is at least 1, so each slot reads a prefix of one
+    flat degree-sorted list: the keys that leave degree 1 to each slot after
+    it.  Only the prefixes pass through a generator per slot; the last slot
+    is a slice."""
     buckets = [alg.basis(d) for d in range(1, total - slots + 2)]
+    flat = [k for keys in buckets for k in keys]
+    upto = list(itertools.accumulate(map(len, buckets)))  # upto[d - 1]: keys of degree <= d
 
-    def walk(remaining, budget):
-        if remaining == 0:
-            yield ()
-            return
-        for d in range(1, budget - remaining + 2):
-            for a in buckets[d - 1]:
-                for rest in walk(remaining - 1, budget - d):
-                    yield (a,) + rest
+    def extend(prefixes, left):
+        for prefix, budget in prefixes:
+            for k in flat[: upto[budget - left - 1]]:
+                yield prefix + (k,), budget - k.degree
 
-    return walk(slots, total)
+    walk = [((), total)] if total >= slots else []
+    for left in range(slots - 1, 0, -1):  # slots still to fill after this one
+        walk = extend(walk, left)
+    return (prefix + (k,) for prefix, budget in walk for k in flat[: upto[budget - 1]])
 
 
 def prelie_triples(alg, total):
@@ -305,7 +310,8 @@ class PresentedAlgebra(Algebra):
             for d, names in _object(doc.get("generators", {}), "generators").items():
                 if type(names) is not list or not set(map(type, names)) <= {str}:
                     raise _malformed("generators of degree %s" % d, "an array of strings", names)
-                if not d.removeprefix("-").isdecimal() or str(int(d)) != d:  # no two keys name one degree
+                # no two keys name one degree; a key too long for int() is refused by its length
+                if len(d) > MAX_DEGREE_KEY or not d.removeprefix("-").isdecimal() or str(int(d)) != d:
                     raise _malformed("generator degree", "an integer in canonical decimal form", d)
                 generators[int(d)] = names
             named = []  # every name a term mentions, checked even if its sum is zero
@@ -352,6 +358,11 @@ class PresentedAlgebra(Algebra):
             except RecursionError as exc:
                 raise ValueError("JSON nested too deeply in %s" % path) from exc
         return cls.from_json(doc)
+
+
+# The longest generator degree key ``from_json`` reads, in characters: far
+# below 640 digits, the least limit Python's int/str conversion can be set to.
+MAX_DEGREE_KEY = 100
 
 
 def _unique_keys(pairs):
@@ -477,6 +488,20 @@ def change_of_basis(alg, seed):
 # validation of the hypotheses
 
 
+def _grading_failures(alg, max_degree):
+    """The terms of the structure constants up to ``max_degree`` that break
+    the grading, described as ``validate`` reports them: coproducts first."""
+    for d in range(1, max_degree + 1):
+        for a in alg.basis(d):
+            for (u, v), _ in alg.coproduct_basis(a).items():
+                if u.degree + v.degree != a.degree:
+                    yield "grading: coproduct of %s has term %s (x) %s" % (a, u, v)
+    for a, b in degree_tuples(alg, 2, max_degree):
+        for t, _ in alg.product_basis(a, b).items():
+            if t.degree != a.degree + b.degree:
+                yield "grading: product %s o %s has term %s" % (a, b, t)
+
+
 def validate(alg, max_degree, limit=5):
     """Check grading, the compatibility law, the permutative coalgebra
     relation and the pre-Lie relation on all basis data up to ``max_degree``.
@@ -493,20 +518,12 @@ def validate(alg, max_degree, limit=5):
         if len(failures) < limit:
             failures.append(msg)
 
-    basis_upto = [b for d in range(1, max_degree + 1) for b in alg.basis(d)]
-
-    # grading of the structure constants
-    for a in basis_upto:
-        for (u, v), _ in alg.coproduct_basis(a).items():
-            if u.degree + v.degree != a.degree:
-                fail("grading: coproduct of %s has term %s (x) %s" % (a, u, v))
-    for a, b in degree_tuples(alg, 2, max_degree):
-        for t, _ in alg.product_basis(a, b).items():
-            if t.degree != a.degree + b.degree:
-                fail("grading: product %s o %s has term %s" % (a, b, t))
+    for msg in _grading_failures(alg, max_degree):
+        fail(msg)
     if failures:
         return failures
 
+    basis_upto = [b for d in range(1, max_degree + 1) for b in alg.basis(d)]
     for a, b in degree_tuples(alg, 2, max_degree):
         if not distributive_law_holds(alg, a, b):
             fail("distributive law fails at (%s, %s)" % (a, b))
@@ -844,6 +861,98 @@ def evaluate_monomial(tree, reps, alg, memo):
 
 
 def reconstruct(alg, max_degree):
+    """Rebuild ``alg`` from its primitives as a free algebra up to
+    ``max_degree``, certified by the rigidity theorem where it can be.
+
+    Returns a ReconstructionReport.  The certificate (``_certify``) proves
+    that ``alg`` is free on its primitives without walking the relations of
+    ``validate``; an algebra it does not certify is validated and
+    reconstructed as ``_validated_reconstruction`` does, which alone reports
+    failures.  Both give the same report on a certified algebra.
+    """
+    report = _certify(alg, max_degree)
+    return report if report is not None else _validated_reconstruction(alg, max_degree)
+
+
+def _certify(alg, max_degree):
+    """The report of a successful reconstruction, or None at the first
+    comparison that fails.
+
+    With the grading checked, degree by degree: phi (``evaluate_monomial``)
+    must carry the tree coproduct on every tree of degree ``n`` over the
+    primitives found below ``n``, tree by tree.  phi is then injective on
+    these trees: if ``phi(x)`` is 0 or primitive, ``(phi (x) phi) Delta(x)
+    = 0``, phi is injective below ``n``, so ``Delta(x) = 0``, and the only
+    primitives of the free algebra are its letters, none of which is a tree
+    of degree ``n`` over lower ones; so ``x = 0``, and their images meet
+    ``P_n`` in 0 only.  If there are ``dim H_n`` trees, phi is bijective in
+    degree ``n`` and ``P_n = 0``, with no rank or kernel computed.  If there
+    are fewer, ``P_n`` is computed (``primitives_basis``) and its basis joins
+    as letters of degree ``n``, whose leaves are the only trees of degree
+    ``n`` that carry one, and the trees must now number ``dim H_n``.  Last,
+    phi must carry the pre-Lie product on every pair of trees of total
+    degree at most ``max_degree`` where it does not hold by the definition
+    of phi.
+
+    phi is then an isomorphism of the truncated algebras and coalgebras
+    from the free pre-Lie algebra on the primitives (Chapoton-Livernet), in
+    which the distributive law, the coalgebra relation and the pre-Lie
+    relation hold, so ``validate`` would pass, and the reconstruction would
+    find these primitives and report every degree isomorphic.
+    """
+    if next(_grading_failures(alg, max_degree), None) is not None:
+        return None
+    reps = {}
+    letter_degrees = {}
+    memo = {}
+
+    def phi(tree):
+        return evaluate_monomial(tree, reps, alg, memo)
+
+    def carries_coproduct(t):
+        lhs = linear(lambda uv: tensor(phi(uv[0]), phi(uv[1])), _tree_coproduct_basis(t))
+        return TensorElement._trusted(2, lhs) == alg.coproduct(phi(t))
+
+    primitive_dims = {}
+    levels = [[]]  # levels[n]: the trees of degree n
+    for n in range(1, max_degree + 1):
+        trees = []
+        if letter_degrees:
+            trees = list(tree_core.enumerate_trees(list(letter_degrees), n, letter_degrees))
+        if not all(map(carries_coproduct, trees)):
+            return None
+        dim = len(alg.basis(n))
+        prims = []
+        if len(trees) < dim:
+            prims = primitives_basis(alg, n)
+            for i, p in enumerate(prims):
+                label = "p%d_%d" % (n, i)
+                reps[label] = p
+                letter_degrees[label] = n
+                trees.append(kernel.leaf(label))  # its coproduct is 0, as is p's
+        if len(trees) != dim:
+            return None
+        primitive_dims[n] = len(prims)
+        levels.append(trees)
+
+    for d1 in range(1, max_degree):
+        for s in levels[d1]:
+            x = phi(s)
+            # phi(s o t) = phi(s) o phi(t) holds by the definition of phi when t
+            # comes last among the root's children in s o t: when no child of s
+            # has a key above t's (a leaf s has none)
+            last = s.children[-1].key if s.children else ""
+            for d2 in range(1, max_degree - d1 + 1):
+                for t in levels[d2]:
+                    if t.key < last and linear(phi, kernel.prelie_counts(s, t)) != bilinear(
+                        alg.product_basis, x, phi(t)
+                    ):
+                        return None
+    degrees = [DegreeReport(n, len(ts), len(ts), len(ts), True) for n, ts in enumerate(levels) if n]
+    return ReconstructionReport(max_degree, [], primitive_dims, degrees)
+
+
+def _validated_reconstruction(alg, max_degree):
     """Validate ``alg`` and rebuild it from its primitives as a free algebra.
 
     Returns a ReconstructionReport; no reconstruction is attempted when

@@ -326,6 +326,10 @@ COPRODUCT = '{"generators": {"1": ["x"], "2": ["y"]}, "coproduct": {"y": %s}}'
         ('{"generators": {"1": ["a"]}, "coproduct": null}', "coproduct: expected an object, got None"),
         # a degree key that ``int()`` cannot read
         ('{"generators": {"x": ["a"]}}', NOT_CANONICAL + "'x'"),
+        # one too long for ``int()``, refused by its length
+        ('{"generators": {"%s": ["a"]}}' % ("1" * 5000), NOT_CANONICAL + "'111111111111...1111111111111'"),
+        ('{"generators": {"%s": ["a"]}}' % ("1" * (rigidity.MAX_DEGREE_KEY + 1)),
+         NOT_CANONICAL + "'111111111111...1111111111111'"),
     ],
 )
 def test_reconstruct_malformed_document_exits_2_with_one_line(tmp_path, capsys, text, message):

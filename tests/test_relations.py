@@ -8,6 +8,7 @@ import pytest
 import validate_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_weighted import _weighted_free_presentation
 
 from treelie import checks
 from treelie.rigidity import (
@@ -39,6 +40,25 @@ def test_degree_tuples_skip_empty_degrees():
     for slots, total in itertools.product(range(1, 4), range(0, 9)):
         scan = [t for t in itertools.product(basis, repeat=slots) if sum(k.degree for k in t) <= total]
         assert list(degree_tuples(alg, slots, total)) == scan
+
+
+def _presented(data):
+    """A presented algebra with a few names in each of some degrees, and
+    gaps: only ``basis`` is read."""
+    sizes = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=6))
+    return PresentedAlgebra({d: ["x%d_%d" % (d, i) for i in range(n)] for d, n in enumerate(sizes, 1) if n}, {}, {})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["free a", "free a,b", "weighted", "presented"]), st.integers(1, 3), st.integers(0, 8), st.data())
+def test_flat_degree_tuples_match_the_recursive_walker(kind, slots, total, data):
+    if kind == "presented":
+        alg = _presented(data)
+    elif kind == "weighted":
+        alg = _weighted_free_presentation(data.draw(st.sampled_from([{"a": 1, "b": 2}, {"a": 2, "b": 3}])), 8)
+    else:
+        alg = FreeTreeAlgebra(kind.split()[1].split(","))
+    assert list(degree_tuples(alg, slots, total)) == list(validate_oracle.degree_tuples(alg, slots, total))
 
 
 def _before(alg, total):

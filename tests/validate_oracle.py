@@ -1,6 +1,7 @@
 """The relation checks as they were written before ``rigidity.degree_tuples``
 and the relation predicates: ``validate`` with its own pair and triple scans
-over the whole basis, and the tree-tuple walker of ``checks``.  Kept as the
+over the whole basis, and the tree-tuple walker of ``checks``; and the
+recursive ``degree_tuples`` that the flat walker replaced.  Kept as the
 oracles for the differential tests."""
 
 import math
@@ -30,6 +31,25 @@ def tuples_with_total(alphabet, slots, total):
                 continue
             yield from rec(prefix + (t,), remaining - 1, budget - t.degree)
     yield from rec((), slots, total)
+
+
+def degree_tuples(alg, slots, total):
+    """Ordered ``slots``-tuples of basis keys of ``alg`` with degree sum at most
+    ``total``, in lexicographic order of the degree-sorted basis.  Every degree
+    is at least 1, so each slot reads ``alg.basis(d)`` bucket by bucket and
+    stops at the first bucket that leaves no degree for the slots after it."""
+    buckets = [alg.basis(d) for d in range(1, total - slots + 2)]
+
+    def walk(remaining, budget):
+        if remaining == 0:
+            yield ()
+            return
+        for d in range(1, budget - remaining + 2):
+            for a in buckets[d - 1]:
+                for rest in walk(remaining - 1, budget - d):
+                    yield (a,) + rest
+
+    return walk(slots, total)
 
 
 def validate(alg, max_degree, limit=5):
