@@ -107,8 +107,8 @@ def _run_counting(monkeypatch, alg, free):
     names; returns the report, the number of ``validate`` runs and the
     record."""
     top = alg.max_degree
-    keys = sum(len(alg.basis(d)) for d in range(1, top + 1))
-    grading = keys + len(list(rigidity.degree_tuples(alg, 2, top)))  # one read per key and per pair
+    # the grading pass reads each key's coproduct and each pair's product once
+    grading = sum(len(alg.basis(d)) for d in range(1, top + 1)) + len(list(rigidity.degree_tuples(alg, 2, top)))
     calls = {"validate": 0}
     read = []
     validate = rigidity.validate
