@@ -2,10 +2,10 @@
 
 ``reconstruct`` first tries ``rigidity._certify``: phi from the free algebra
 on the primitives must be bijective and carry the coproduct and the product,
-and a primitive space is read as 0 from a full rank.  Any input it does not
-certify goes through ``rigidity._validated_reconstruction`` (``validate``,
-then the reconstruction), which is also the oracle here: both must give
-equal reports and print the same summary."""
+and a primitive space is read as 0 where the trees number ``dim H_n``.  Any
+input it does not certify goes through ``rigidity._validated_reconstruction``
+(``validate``, then the reconstruction), which is also the oracle here: both
+must give equal reports and print the same summary."""
 
 import copy
 
